@@ -88,6 +88,9 @@ fn main() {
         }
         i += 1;
     }
+    if workers == 0 {
+        fail("--workers must be >= 1");
+    }
 
     let cfg = CityConfig::smoke(seed);
     let schedule = CitySchedule::generate(&cfg);
@@ -104,6 +107,8 @@ fn main() {
     assert_eq!(c_stats.agg.bytes_delivered, a_stats.agg.bytes_delivered);
     assert_eq!(c_stats.wan_msgs, a_stats.wan_msgs);
     assert_eq!(c_stats.wan_bytes, a_stats.wan_bytes);
+    // The worker count the runner actually used, not the one asked for.
+    let workers = a_stats.workers;
 
     let reduction = classic.rounds as f64 / adaptive.rounds.max(1) as f64;
     println!(

@@ -5,9 +5,8 @@
 //!
 //! Modes:
 //!
-//! - default: run the `city_10k` workload once, flat (one engine), and
-//!   write the measured numbers to `BENCH_scale.json` (or the `--out`
-//!   path).
+//! - default: run the `city_10k` workload once, flat (one engine — the
+//!   zone executor's one-zone case, drained without the cluster runner).
 //! - `--zones Z`: run the zone-sharded cluster executor with `Z` worker
 //!   threads over the workload's fixed logical partition
 //!   (`CityConfig::zones`; override with `--city-zones`). Results are
@@ -30,6 +29,10 @@
 //!   runs must agree event-for-event (deterministic completion is
 //!   asserted, for CI). With `--zones` the assertion covers the merged
 //!   cluster telemetry byte-for-byte.
+//! - `--out <path>`: write the run's JSON record there (regenerate the
+//!   committed ledger with `--scaling 1,2,4 --runs 3 --out
+//!   BENCH_scale.json`). Without `--out` no file is written, in any
+//!   mode, so ad-hoc and smoke runs never touch a ledger.
 //! - `--metrics`: additionally print `key=value` lines to stdout, one
 //!   per measure, for the interleaved A/B harness (and the CI
 //!   zones-differential check) to harvest.
@@ -360,7 +363,7 @@ fn bench_child(workload: &[String], extra: &[&str]) -> Point {
     let output = std::process::Command::new(&exe)
         .args(workload)
         .args(extra)
-        .args(["--metrics", "--runs", "1", "--out", "/dev/null"])
+        .args(["--metrics", "--runs", "1"])
         .stderr(std::process::Stdio::null())
         .output()
         .unwrap_or_else(|e| fail(&format!("spawn child bench: {e}")));
@@ -442,7 +445,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
     let mut metrics = false;
-    let mut out = "BENCH_scale.json".to_string();
+    let mut out: Option<String> = None;
     let mut telemetry_jsonl: Option<String> = None;
     let mut report: Option<String> = None;
     let mut seed = 7u64;
@@ -473,7 +476,7 @@ fn main() {
         match args[i].as_str() {
             "--smoke" => smoke = true,
             "--metrics" => metrics = true,
-            "--out" => out = take(&args, &mut i, "--out"),
+            "--out" => out = Some(take(&args, &mut i, "--out")),
             "--telemetry-jsonl" => telemetry_jsonl = Some(take(&args, &mut i, "--telemetry-jsonl")),
             "--report" => report = Some(take(&args, &mut i, "--report")),
             "--seed" => seed = num(&take(&args, &mut i, "--seed"), "--seed"),
@@ -644,7 +647,7 @@ fn main() {
                 workload.push(v);
             }
         }
-        run_scaling(&cfg, &workload, &list, cap, runs, metrics, &out);
+        run_scaling(&cfg, &workload, &list, cap, runs, metrics, out.as_deref());
         return;
     }
 
@@ -657,7 +660,7 @@ fn main() {
             runs,
             smoke,
             metrics,
-            &out,
+            out.as_deref(),
             report.as_deref(),
         );
         return;
@@ -720,6 +723,9 @@ fn main() {
         write_report(path, json);
     }
 
+    let Some(out) = out else {
+        return;
+    };
     let notes = if smoke {
         "CI smoke config (~50 rooms); deterministic completion asserted by running the same seed twice and comparing event counts, admissions, deliveries and final sim time.".to_string()
     } else {
@@ -741,7 +747,7 @@ fn run_cluster_mode(
     runs: u32,
     smoke: bool,
     metrics: bool,
-    out: &str,
+    out: Option<&str>,
     report: Option<&str>,
 ) {
     let (m, deterministic) = if smoke {
@@ -834,6 +840,9 @@ fn run_cluster_mode(
         println!("envelope_allocs={}", c.envelope_allocs);
     }
 
+    let Some(out) = out else {
+        return;
+    };
     let per_zone: Vec<String> = c
         .per_zone
         .iter()
@@ -904,7 +913,7 @@ fn run_scaling(
     cap: usize,
     runs: u32,
     metrics: bool,
-    out: &str,
+    out: Option<&str>,
 ) {
     let mut baseline: Option<Point> = None;
     let mut classic_w1: Option<Point> = None;
@@ -1006,6 +1015,9 @@ barrier rounds: classic {} -> adaptive {} ({rounds_reduction:.1}x)",
         }
     }
 
+    let Some(out) = out else {
+        return;
+    };
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

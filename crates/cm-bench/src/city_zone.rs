@@ -1,5 +1,7 @@
-//! Sharded city executor: one zone per engine, zones joined by
-//! wide-area envelopes under the `cm-cluster` barrier protocol.
+//! The city executor: one zone per engine, zones joined by wide-area
+//! envelopes under the `cm-cluster` barrier protocol. The flat city run
+//! ([`crate::city_run::run_city_schedule`]) is this executor's one-zone
+//! case, drained without the runner.
 //!
 //! Each zone is a full private stack — engine, star network
 //! (`nodes_per_zone` leaves + one relay leaf + hub), platform, session —
@@ -9,19 +11,18 @@
 //! envelopes, **one per guest zone per OSDU**, and each guest zone
 //! re-publishes it into a local mirror room. Inter-zone bytes are
 //! therefore flat in membership: the tap fans out per zone, the mirror
-//! fans out per member. Capturing at the source (rather than joining a
-//! relay *member* that rides the full local packet path once per OSDU)
-//! keeps the sharding tax flat: a cross-zone stream costs the home zone
-//! zero extra engine events beyond the envelopes themselves.
+//! fans out per member. A cross-zone stream costs the home zone zero
+//! extra engine events beyond the envelopes themselves.
 //!
 //! Determinism: the logical partition is part of the workload
 //! (`CityConfig::zones`), never of the execution, so the same seeded
 //! config produces byte-identical per-zone telemetry — and a
 //! byte-identical [`merge_jsonl`] stream — for any worker-thread count.
 
-use crate::city_run::{profile_of, CityStats};
+use crate::city_run::CityStats;
 use cm_cluster::{run_cluster, ClusterConfig, Envelope, LookaheadMatrix, RoundMode, ZoneWorker};
 use cm_core::address::{NetAddr, VcId};
+use cm_core::media::MediaProfile;
 use cm_core::osdu::{Osdu, Payload};
 use cm_core::qos::{GuaranteeMode, QosRequirement};
 use cm_core::rng::DetRng;
@@ -232,13 +233,10 @@ impl Ord for WanItem {
 
 /// Home-side egress tap for one cross-zone stream: every accepted write
 /// on the published VC becomes one wide-area envelope per guest zone,
-/// captured synchronously inside the write call. The v0 design joined a
-/// relay *member* on a dedicated leaf instead, which cost the home zone
-/// a full local packet round-trip plus delivery event per OSDU — pure
-/// sharding tax, since the flat city does none of that work. The tap
-/// emits at the source for zero extra engine events, and because the
-/// envelope leaves at the write instant, the [`HotStream`] bound is
-/// exact rather than conservative.
+/// captured synchronously inside the write call. The tap emits at the
+/// source for zero extra engine events, and because the envelope leaves
+/// at the write instant, the [`HotStream`] bound is exact rather than
+/// conservative.
 struct ZoneEgress {
     rt: Rc<ZRt>,
     room: u32,
@@ -381,8 +379,8 @@ impl ZRt {
 }
 
 /// Schedule the batch of zone events starting at `idx` (all sharing one
-/// fire time); each batch arms the next, exactly like the flat city
-/// executor.
+/// fire time); each batch arms the next, so the timer wheel only ever
+/// holds one schedule cursor.
 fn arm_batch(engine: &Engine, rt: Rc<ZRt>, idx: usize) {
     let events = &rt.plan.per_zone[rt.zone as usize].events;
     let Some(first) = events.get(idx) else {
@@ -408,14 +406,6 @@ fn arm_batch(engine: &Engine, rt: Rc<ZRt>, idx: usize) {
 fn execute(engine: &Engine, rt: &Rc<ZRt>, ev: ZoneEvent) {
     match ev {
         ZoneEvent::City(ev) => execute_city(engine, rt, ev),
-        ZoneEvent::RelayJoin { .. } => {
-            // v0 joined a forwarding relay member here. Zone egress is
-            // now captured at the write call itself (an [`EgressTap`]
-            // registered when `Publish` executes), so nothing joins:
-            // the plan still emits the event — and the home room still
-            // carries the spare capacity slot — so schedule shapes stay
-            // stable across the redesign.
-        }
         ZoneEvent::MirrorOpen { room, capacity, .. } => {
             let relay_node = rt.nodes[rt.plan.relay_node() as usize];
             let r = rt
@@ -541,6 +531,10 @@ fn execute_city(engine: &Engine, rt: &Rc<ZRt>, ev: CityEvent) {
             let size = profile.nominal_osdu_size;
             let every = profile.osdu_rate.interval();
             let rt2 = rt.clone();
+            // Give the graft handshake a beat before the first write, then
+            // produce at the media rate — the contracted pace; writing
+            // faster than the negotiated rate backlogs the send buffer
+            // and blows the stream's own deadline (the auditor flags it).
             engine.schedule_in(SimDuration::from_millis(100), move |_| {
                 paced_writes(&rt2, svc, vc, room, 0, writes, size, every);
             });
@@ -570,9 +564,18 @@ fn execute_city(engine: &Engine, rt: &Rc<ZRt>, ev: CityEvent) {
     }
 }
 
+fn profile_of(media: CityMedia) -> MediaProfile {
+    match media {
+        CityMedia::AudioTelephone => MediaProfile::audio_telephone(),
+        CityMedia::TextCaptions => MediaProfile::text_captions(),
+        CityMedia::VideoMono => MediaProfile::video_mono(),
+    }
+}
+
 /// Write one OSDU every `every` of simulated time (the media rate) until
-/// `total` are out, parking on the send buffer when full — same pacing
-/// as the flat city.
+/// `total` are out, parking on the send buffer when it is full. Stops
+/// silently if the VC dies under us (the room closed before the writes
+/// finished).
 #[allow(clippy::too_many_arguments)]
 fn paced_writes(
     rt: &Rc<ZRt>,
@@ -704,6 +707,62 @@ impl ZoneCityWorker {
 }
 
 impl ZoneCityWorker {
+    /// The zone-local counters so far.
+    fn stats(&self) -> CityStats {
+        let rt = &self.rt;
+        CityStats {
+            rooms_opened: rt.rooms_opened.get(),
+            joins_ok: rt.joins_ok.get(),
+            joins_denied: rt.joins_denied.get(),
+            published: rt.published.get(),
+            osdus_written: rt.osdus_written.get(),
+            bytes_written: rt.bytes_written.get(),
+            osdus_delivered: rt.member.osdus.get(),
+            bytes_delivered: rt.member.bytes.get(),
+            events_executed: self.engine.executed(),
+            sim_ms: self.engine.now().as_micros() / 1_000,
+        }
+    }
+
+    /// Hand a drained one-zone run back as the flat city's result: the
+    /// counters plus the engine and trace registry for exports.
+    pub(crate) fn into_flat(self) -> (CityStats, Engine, Obs) {
+        (self.stats(), self.engine, self.rt.obs.clone())
+    }
+
+    /// Interleave the engine with the wide-area ingress queue up to
+    /// `deadline_us` (`None`: until both drain): run local events up to
+    /// each delivery instant, then hand the due envelopes straight to
+    /// their handlers (engine clock already on the instant, zero-delay
+    /// follow-ups picked up by the next pass). Same-instant ordering is
+    /// local-events-first, then envelopes in arrival order —
+    /// deterministic for any worker count and either barrier protocol.
+    /// Draining ends in `Engine::run`, which leaves the clock on the
+    /// last executed event instead of a synthetic `u64::MAX` deadline.
+    fn drive(&mut self, deadline_us: Option<u64>) {
+        loop {
+            let next_wan = self
+                .rt
+                .wan_in
+                .borrow()
+                .peek()
+                .map(|Reverse(w)| w.deliver_at_us);
+            match next_wan {
+                Some(t) if deadline_us.is_none_or(|d| t <= d) => {
+                    self.engine.run_until(SimTime::from_micros(t));
+                    self.deliver_wan_at(t);
+                }
+                _ => {
+                    match deadline_us {
+                        Some(d) => self.engine.run_until(SimTime::from_micros(d)),
+                        None => self.engine.run(),
+                    }
+                    return;
+                }
+            }
+        }
+    }
+
     /// Deliver every queued wide-area envelope due at exactly `t_us`
     /// (the engine clock must already be there), in arrival order.
     fn deliver_wan_at(&self, t_us: u64) {
@@ -785,56 +844,11 @@ impl ZoneWorker for ZoneCityWorker {
     }
 
     fn run_until_us(&mut self, deadline_us: u64) {
-        // Interleave the engine with the wide-area ingress queue: run
-        // local events up to each delivery instant, then hand the due
-        // envelopes straight to their handlers (engine clock already on
-        // the instant, zero-delay follow-ups picked up by the next
-        // pass). Same-instant ordering is local-events-first, then
-        // envelopes in arrival order — deterministic for any worker
-        // count and either barrier protocol.
-        loop {
-            let next_wan = self
-                .rt
-                .wan_in
-                .borrow()
-                .peek()
-                .map(|Reverse(w)| w.deliver_at_us);
-            match next_wan {
-                Some(t) if t <= deadline_us => {
-                    self.engine.run_until(SimTime::from_micros(t));
-                    self.deliver_wan_at(t);
-                }
-                _ => {
-                    self.engine.run_until(SimTime::from_micros(deadline_us));
-                    return;
-                }
-            }
-        }
+        self.drive(Some(deadline_us));
     }
 
     fn run_to_drain_us(&mut self) {
-        // Same interleave as `run_until_us`, with the next delivery
-        // instant as the rolling deadline. `Engine::run` leaves the
-        // clock on the last executed event instead of poisoning it with
-        // a synthetic `u64::MAX` deadline.
-        loop {
-            let next_wan = self
-                .rt
-                .wan_in
-                .borrow()
-                .peek()
-                .map(|Reverse(w)| w.deliver_at_us);
-            match next_wan {
-                Some(t) => {
-                    self.engine.run_until(SimTime::from_micros(t));
-                    self.deliver_wan_at(t);
-                }
-                None => {
-                    self.engine.run();
-                    return;
-                }
-            }
-        }
+        self.drive(None);
     }
 
     fn drain_outbound(&mut self, out: &mut Vec<Envelope<CityWire>>) {
@@ -843,18 +857,7 @@ impl ZoneWorker for ZoneCityWorker {
 
     fn finish(self) -> ZoneCityReport {
         let rt = &self.rt;
-        let stats = CityStats {
-            rooms_opened: rt.rooms_opened.get(),
-            joins_ok: rt.joins_ok.get(),
-            joins_denied: rt.joins_denied.get(),
-            published: rt.published.get(),
-            osdus_written: rt.osdus_written.get(),
-            bytes_written: rt.bytes_written.get(),
-            osdus_delivered: rt.member.osdus.get(),
-            bytes_delivered: rt.member.bytes.get(),
-            events_executed: self.engine.executed(),
-            sim_ms: self.engine.now().as_micros() / 1_000,
-        };
+        let stats = self.stats();
         let tel = self.engine.telemetry();
         let telemetry_jsonl = tel.enabled().then(|| tel.export_jsonl());
         let obs_report = rt.obs.enabled().then(|| {

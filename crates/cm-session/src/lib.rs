@@ -33,12 +33,10 @@
 
 mod control;
 mod health;
-mod relay;
 mod room;
 mod session;
 
 pub use control::{RoomCtl, RoomOrchestrator};
 pub use health::HealthEvent;
-pub use relay::{RelayUplink, RelayUplinkEvent};
 pub use room::{JoinDenied, PeerId, Room, RoomMember};
 pub use session::Session;

@@ -10,23 +10,25 @@
 //! wide area one by one:
 //!
 //! ```text
-//!   home zone                      guest zone
-//!   ┌───────────────┐   1 envelope ┌────────────────┐
-//!   │ room ── relay ─┼─────────────┼→ relay ── mirror│
-//!   │  ↑members↑     │  per OSDU   │        ↑members↑│
-//!   └───────────────┘              └────────────────┘
+//!   home zone                       guest zone
+//!   ┌────────────────┐  1 envelope  ┌─────────────────┐
+//!   │ room ── tap ───┼──────────────┼→ relay ── mirror │
+//!   │  ↑members↑     │  per OSDU    │         ↑members↑│
+//!   └────────────────┘              └─────────────────┘
 //! ```
 //!
 //! A published OSDU crosses each inter-zone link **once** (the home
-//! relay fans it out per guest *zone*, not per guest member) and the
-//! guest relay re-publishes it locally — the paper's orchestration
-//! argument, and the reason inter-zone byte counts stay flat as rooms
-//! grow members.
+//! stream's egress tap fans it out per guest *zone*, not per guest
+//! member) and the guest relay re-publishes it locally — the paper's
+//! orchestration argument, and the reason inter-zone byte counts stay
+//! flat as rooms grow members.
 //!
 //! Node indices are remapped into per-zone worlds of
 //! [`ZonePlan::nodes_per_zone`] regular leaves plus one dedicated relay
-//! leaf (index `nodes_per_zone`), so relays never collide with members
-//! on the one-peer-per-node admission rule.
+//! leaf (index `nodes_per_zone`) that anchors guest-side mirrors, so the
+//! mirror publisher never collides with members on the
+//! one-peer-per-node admission rule. With one zone the plan is the flat
+//! schedule itself and the relay leaf stays idle.
 
 use crate::city::{CityConfig, CityEvent, CityMedia, CitySchedule};
 
@@ -34,8 +36,8 @@ use crate::city::{CityConfig, CityEvent, CityMedia, CitySchedule};
 /// carried by `cm-cluster` envelopes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CityWire {
-    /// Home published the room's stream: guest relays open their mirror
-    /// stream with the same media profile.
+    /// Home published the room's stream: the guest relay opens its
+    /// mirror stream with the same media profile.
     MirrorPublish {
         /// Dense room index.
         room: u32,
@@ -56,7 +58,7 @@ pub enum CityWire {
         /// Causal provenance: home-zone write time of the OSDU, µs (zero
         /// when tracing is off).
         origin_us: u64,
-        /// Causal provenance: when the home relay captured and forwarded
+        /// Causal provenance: when the home zone captured and forwarded
         /// the OSDU, µs (zero when tracing is off).
         relayed_at_us: u64,
     },
@@ -66,17 +68,8 @@ pub enum CityWire {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ZoneEvent {
     /// A flat city event with its node index remapped to this zone's
-    /// world. `RoomOpen` capacities are adjusted for the relay slot and
-    /// count only this zone's members.
+    /// world. `RoomOpen` capacities count only this zone's members.
     City(CityEvent),
-    /// Home side of a cross-zone room: the relay subscriber joins (from
-    /// the relay leaf) so it can forward the stream to guest zones.
-    RelayJoin {
-        /// Fire time, ms of simulated time.
-        at_ms: u64,
-        /// Dense room index.
-        room: u32,
-    },
     /// Guest side: open the local mirror room (capacity = this zone's
     /// guest members + the relay publisher).
     MirrorOpen {
@@ -101,9 +94,7 @@ impl ZoneEvent {
     pub fn at_ms(&self) -> u64 {
         match *self {
             ZoneEvent::City(ev) => ev.at_ms(),
-            ZoneEvent::RelayJoin { at_ms, .. }
-            | ZoneEvent::MirrorOpen { at_ms, .. }
-            | ZoneEvent::MirrorClose { at_ms, .. } => at_ms,
+            ZoneEvent::MirrorOpen { at_ms, .. } | ZoneEvent::MirrorClose { at_ms, .. } => at_ms,
         }
     }
 }
@@ -149,7 +140,7 @@ impl ZoneRoomInfo {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ZoneSchedule {
     /// Events in replay order (inherited from the flat schedule's
-    /// sort, with relay/mirror events pinned to their room-open and
+    /// sort, with mirror events pinned to their room-open and
     /// room-close ticks).
     pub events: Vec<ZoneEvent>,
     /// `Join` events in this zone (mirror joins included).
@@ -237,21 +228,14 @@ impl ZonePlan {
                     if !info.guests.is_empty() {
                         cross_rooms += 1;
                     }
-                    let home_members = info.members_in(home);
-                    let relay_slot = u32::from(!info.guests.is_empty());
                     per_zone[home as usize]
                         .events
                         .push(ZoneEvent::City(CityEvent::RoomOpen {
                             at_ms,
                             room,
                             host: host % nodes_per_zone,
-                            members: home_members + relay_slot,
+                            members: info.members_in(home),
                         }));
-                    if relay_slot == 1 {
-                        per_zone[home as usize]
-                            .events
-                            .push(ZoneEvent::RelayJoin { at_ms, room });
-                    }
                     for &g in &info.guests {
                         per_zone[g as usize].events.push(ZoneEvent::MirrorOpen {
                             at_ms,
@@ -353,17 +337,12 @@ impl ZonePlan {
     /// which the zone could start forwarding cross-zone traffic it
     /// could not forward before. Every wide-area message — the stream
     /// announcement and each forwarded OSDU — is causally downstream of
-    /// a cross-zone room's `Publish` execution (the relay join chain
-    /// itself exchanges nothing over the WAN; mirror rooms are opened
+    /// a cross-zone room's `Publish` execution (mirror rooms are opened
     /// by the guest zone's own schedule), so the enabling events are
-    /// exactly the cross-zone rooms' `Publish`es. A relay that joins
-    /// *after* a publish replays the announcement on join completion,
-    /// but that too is bounded: the room turns hot at the publish tick
-    /// and stays hot until the relay has forwarded the stream's last
-    /// scheduled OSDU, which cannot happen before the join completes.
-    /// Between the last forwarded stream draining and the next enabling
-    /// event, the zone provably cannot emit — the window stretch the
-    /// adaptive runner feeds on.
+    /// exactly the cross-zone rooms' `Publish`es. Between the last
+    /// forwarded stream draining and the next enabling event, the zone
+    /// provably cannot emit — the window stretch the adaptive runner
+    /// feeds on.
     pub fn emission_enables_us(&self, zone: u32) -> Vec<u64> {
         self.per_zone[zone as usize]
             .events
@@ -498,13 +477,22 @@ mod tests {
                 assert!(info.members_in(g) >= 1, "room {room} guest zone {g}");
             }
         }
-        // Mirror capacities match guest membership + relay publisher.
+        // Home rooms hold exactly the home members; mirror capacities
+        // match guest membership + the relay publisher.
         for (z, zs) in plan.per_zone.iter().enumerate() {
             for ev in &zs.events {
-                if let ZoneEvent::MirrorOpen { room, capacity, .. } = *ev {
-                    let info = &plan.rooms[room as usize];
-                    assert!(info.guests.contains(&(z as u32)));
-                    assert_eq!(capacity, info.members_in(z as u32) + 1);
+                match *ev {
+                    ZoneEvent::City(CityEvent::RoomOpen { room, members, .. }) => {
+                        let info = &plan.rooms[room as usize];
+                        assert_eq!(info.home, z as u32);
+                        assert_eq!(members, info.members_in(info.home), "room {room}");
+                    }
+                    ZoneEvent::MirrorOpen { room, capacity, .. } => {
+                        let info = &plan.rooms[room as usize];
+                        assert!(info.guests.contains(&(z as u32)));
+                        assert_eq!(capacity, info.members_in(z as u32) + 1);
+                    }
+                    _ => {}
                 }
             }
         }

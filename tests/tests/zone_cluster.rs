@@ -1,8 +1,11 @@
-//! Zone-sharded cluster integration: determinism across worker counts
-//! and the relay's flat-in-membership wide-area cost (DESIGN.md §11).
+//! Zone-sharded cluster integration: determinism across worker counts,
+//! the flat-in-membership wide-area cost (DESIGN.md §11) and the pinned
+//! flat smoke surface.
 
+use cm_bench::city_run::run_city_schedule;
 use cm_bench::city_zone::run_city_cluster;
-use cm_testkit::{CityConfig, MediaMix};
+use cm_obs::render_report;
+use cm_testkit::{CityConfig, CitySchedule, MediaMix};
 
 /// The tentpole determinism claim, end to end: the same seeded workload
 /// run on 1 worker thread and on 4 produces byte-identical merged
@@ -73,4 +76,53 @@ fn cross_zone_bytes_are_flat_in_membership() {
     let large = run(15);
     assert_eq!(small, medium, "3 vs 9 members changed wide-area traffic");
     assert_eq!(small, large, "3 vs 15 members changed wide-area traffic");
+}
+
+/// 64-bit FNV-1a, the fingerprint `room_scale --metrics` prints.
+fn fnv64(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The flat smoke city (seed 7) is a pinned deterministic surface: its
+/// counters, telemetry JSONL and rendered `cm-obs/v1` report may only
+/// change on purpose. The zone executor at `cfg.zones = 1`, run through
+/// the cluster runner on one worker, is the same simulation byte for
+/// byte and drains in a single round.
+#[test]
+fn flat_smoke_surface_is_pinned_and_matches_one_zone_cluster() {
+    let cfg = CityConfig::smoke(7);
+    let schedule = CitySchedule::generate(&cfg);
+    let (flat, engine, obs) = run_city_schedule(&cfg, schedule, Some(1 << 20));
+    assert_eq!(flat.events_executed, 4127);
+    assert_eq!(flat.joins_ok, 261);
+    assert_eq!(flat.osdus_written, 300);
+    assert_eq!(flat.osdus_delivered, 132);
+    assert_eq!(flat.sim_ms, 33031);
+    let tel = engine.telemetry();
+    let jsonl = tel.export_jsonl();
+    let report = render_report(&[obs.finish_report(0, engine.now().as_micros(), tel.overflow())]);
+    assert_eq!(fnv64(&jsonl), 0xde22_7350_ae47_fb10, "flat telemetry bytes");
+    assert_eq!(
+        fnv64(&report),
+        0xf042_5ba9_d4de_6882,
+        "flat cm-obs/v1 report"
+    );
+
+    let one_zone = CityConfig { zones: 1, ..cfg };
+    let c = run_city_cluster(&one_zone, 1, Some(1 << 20));
+    assert_eq!(c.rounds, 1, "one zone drains in a single round");
+    assert_eq!(c.per_zone.len(), 1);
+    let z = &c.per_zone[0];
+    assert_eq!(z.stats.events_executed, flat.events_executed);
+    assert_eq!(z.stats.joins_ok, flat.joins_ok);
+    assert_eq!(z.stats.osdus_written, flat.osdus_written);
+    assert_eq!(z.stats.bytes_written, flat.bytes_written);
+    assert_eq!(z.stats.osdus_delivered, flat.osdus_delivered);
+    assert_eq!(z.stats.bytes_delivered, flat.bytes_delivered);
+    assert_eq!(z.stats.sim_ms, flat.sim_ms);
+    assert_eq!(z.telemetry_jsonl.as_deref(), Some(jsonl.as_str()));
+    let zr = z.obs_report.clone().expect("tracing rides with telemetry");
+    assert_eq!(render_report(&[zr]), report);
 }
