@@ -126,3 +126,39 @@ fn flat_smoke_surface_is_pinned_and_matches_one_zone_cluster() {
     let zr = z.obs_report.clone().expect("tracing rides with telemetry");
     assert_eq!(render_report(&[zr]), report);
 }
+
+/// The sharded smoke city (seed 7, 4 zones) is the city-scale golden
+/// for the round protocol: counters, round count, wide-area traffic,
+/// merged telemetry bytes and the rendered `cm-obs/v1` report are
+/// pinned, identically on every worker count.
+#[test]
+fn sharded_smoke_surface_is_pinned() {
+    let cfg = CityConfig::smoke(7);
+    assert_eq!(cfg.zones, 4);
+    for workers in [1, 2, 4] {
+        let c = run_city_cluster(&cfg, workers, Some(1 << 20));
+        assert_eq!(c.workers, workers);
+        assert_eq!(c.agg.events_executed, 4792, "events at w{workers}");
+        assert_eq!(c.agg.joins_ok, 261, "member slots at w{workers}");
+        assert_eq!(c.agg.sim_ms, 33031, "sim_ms at w{workers}");
+        assert_eq!(c.rounds, 45, "rounds at w{workers}");
+        assert_eq!(c.wan_msgs, 280, "wan_msgs at w{workers}");
+        assert_eq!(c.wan_bytes, 117_120, "wan_bytes at w{workers}");
+        let jsonl = c.merged_jsonl.as_deref().expect("telemetry enabled");
+        assert_eq!(
+            fnv64(jsonl),
+            0xc4fb_99e2_be20_d92b,
+            "merged telemetry at w{workers}"
+        );
+        let reports: Vec<_> = c
+            .per_zone
+            .iter()
+            .map(|z| z.obs_report.clone().expect("tracing rides with telemetry"))
+            .collect();
+        assert_eq!(
+            fnv64(&render_report(&reports)),
+            0x69ae_bc88_1ad0_ba76,
+            "cm-obs/v1 report at w{workers}"
+        );
+    }
+}
