@@ -13,16 +13,12 @@
 //!   byte-identical for every `Z` — only wall time changes.
 //! - `--threads T`: cap the OS threads the cluster may use (default:
 //!   no extra cap beyond `Z`).
-//! - `--protocol classic|adaptive`: the cluster round protocol for a
-//!   `--zones` run — fixed-lookahead two-barrier classic, or the
-//!   default adaptive-window single-barrier engine. Results are
-//!   byte-identical either way; rounds and wall time differ.
-//! - `--scaling LIST`: comma-separated worker counts (e.g. `1,2,4,8`);
-//!   runs the flat baseline, a classic one-worker reference, and each
-//!   count interleaved min-of-N, prints the scaling table and writes
-//!   the curve (with `overhead_vs_flat_percent` and
-//!   `rounds_reduction`) to the `--out` JSON. Every point runs in a
-//!   fresh child process (the bench re-executes itself) so one
+//! - `--scaling LIST`: comma-separated worker counts (e.g. `1,2,4,8`;
+//!   one worker is always measured, for the sharding tax); runs the
+//!   flat baseline and each count interleaved min-of-N, prints the
+//!   scaling table and writes the curve (with
+//!   `overhead_vs_flat_percent`) to the `--out` JSON. Every point runs
+//!   in a fresh child process (the bench re-executes itself) so one
 //!   measurement's heap cannot skew the next — world teardown
 //!   currently leaks the run's arena, see ROADMAP.
 //! - `--smoke`: a ~50-room config run twice with the same seed; the two
@@ -59,8 +55,7 @@
 //! line before any schedule is generated or printed.
 
 use cm_bench::city_run::{run_city_schedule, CityStats};
-use cm_bench::city_zone::{run_city_cluster_mode, run_city_cluster_schedule, ClusterCityStats};
-use cm_cluster::RoundMode;
+use cm_bench::city_zone::{run_city_cluster_schedule, ClusterCityStats};
 use cm_obs::{render_report, ObsZoneReport};
 use cm_testkit::{CityConfig, CitySchedule};
 use std::time::Instant;
@@ -68,8 +63,7 @@ use std::time::Instant;
 const USAGE: &str =
     "usage: room_scale [--smoke] [--metrics] [--out PATH] [--telemetry-jsonl PATH] \
 [--report PATH] [--seed N] [--rooms N] [--nodes N] [--runs N] [--writes N] [--churn PCT] \
-[--zones N] [--protocol classic|adaptive] [--threads N] [--city-zones N] [--wan-ms N] \
-[--scaling N,N,...]";
+[--zones N] [--threads N] [--city-zones N] [--wan-ms N] [--scaling N,N,...]";
 
 fn fail(msg: &str) -> ! {
     eprintln!("room_scale: {msg}");
@@ -124,15 +118,17 @@ struct ClusterMeasured {
     bytes_per_sec: f64,
 }
 
-fn measure_cluster_mode(
+/// Cluster run timed around the whole executor — zone partition, world
+/// build and drain, as the flat measurement is — so the per-event
+/// sharding tax compares like with like.
+fn measure_cluster(
     cfg: &CityConfig,
     schedule: &CitySchedule,
     workers: usize,
     telemetry: Option<usize>,
-    mode: RoundMode,
 ) -> ClusterMeasured {
     let start = Instant::now();
-    let stats = run_city_cluster_mode(cfg, schedule, workers, telemetry, mode);
+    let stats = run_city_cluster_schedule(cfg, schedule, workers, telemetry);
     let wall = start.elapsed();
     let secs = wall.as_secs_f64().max(1e-9);
     ClusterMeasured {
@@ -381,30 +377,36 @@ fn bench_child(workload: &[String], extra: &[&str]) -> Point {
     point_from(&String::from_utf8_lossy(&output.stdout))
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Wall nanoseconds per executed engine event — the sharding tax
+/// compares this, not raw wall time, because the sharded city executes
+/// more events (its mirrors re-publish) than the flat one.
+fn ns_per_event(p: &Point) -> f64 {
+    p.wall_us as f64 * 1e3 / p.events.max(1) as f64
+}
+
 fn write_scaling_json(
     path: &str,
     cfg: &CityConfig,
     baseline: &Point,
     curve: &[(usize, Point)],
     runs: u32,
-    cores: usize,
     overhead_vs_flat_percent: f64,
-    classic_w1: &Point,
-    adaptive_rounds_w1: u64,
-    rounds_reduction: f64,
-    notes: &str,
 ) {
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     let entries: Vec<String> = curve
         .iter()
         .map(|(w, p)| {
             let speedup = baseline.wall_us as f64 / (p.wall_us.max(1)) as f64;
             format!(
-                "    {{\n      \"workers\": {},\n      \"zones\": {},\n      \"rounds\": {},\n      \"measured_wall_ms\": {},\n      \"events_per_sec\": {:.0},\n      \"measured_speedup_vs_flat\": {:.3},\n      \"busy_us_total\": {},\n      \"sync_us_total\": {},\n      \"critical_path_us\": {},\n      \"parallel_speedup_bound\": {:.3},\n      \"envelopes_routed\": {},\n      \"envelope_allocs\": {},\n      \"wan_msgs\": {},\n      \"wan_bytes\": {}\n    }}",
+                "    {{\n      \"workers\": {},\n      \"zones\": {},\n      \"rounds\": {},\n      \"measured_wall_ms\": {},\n      \"engine_events\": {},\n      \"ns_per_event\": {:.1},\n      \"events_per_sec\": {:.0},\n      \"measured_speedup_vs_flat\": {:.3},\n      \"busy_us_total\": {},\n      \"sync_us_total\": {},\n      \"critical_path_us\": {},\n      \"parallel_speedup_bound\": {:.3},\n      \"envelopes_routed\": {},\n      \"envelope_allocs\": {},\n      \"wan_msgs\": {},\n      \"wan_bytes\": {}\n    }}",
                 w,
                 cfg.zones,
                 p.rounds,
                 p.wall_ms,
+                p.events,
+                ns_per_event(p),
                 p.events_per_sec,
                 speedup,
                 p.busy_us_total,
@@ -421,20 +423,20 @@ fn write_scaling_json(
             )
         })
         .collect();
+    let notes = format!(
+        "Scaling curve: flat single-engine baseline vs the zone-sharded cluster at each worker count, interleaved min-of-{runs} on a {cores}-core host, all points replaying the identical pre-generated schedule, each point measured in a fresh child process so one run's heap cannot skew the next. wall_ms/speedup_vs_flat are measured wall clock; parallel_speedup_bound = total shard busy time / critical path (the per-round max over workers, summed) — the speedup the same run reaches once every worker has its own core. On a {cores}-core host measured speedup saturates at the core count; the bound is the hardware-independent number. ns_per_event = measured wall ns / engine events executed; both sides' wall clock includes zone partition, world build and drain. overhead_vs_flat_percent = (one-worker ns_per_event / flat ns_per_event - 1) * 100, the sharding tax per executed event (the sharded city executes more events than the flat one: its mirrors re-publish)."
+    );
     let json = format!(
-        "{{\n  \"bench\": \"cm-bench/src/bin/room_scale.rs\",\n  \"workload\": \"room-churn city, zone-sharded\",\n  \"notes\": \"{}\",\n{},\n  \"methodology\": \"interleaved min-of-{} per point on a {}-core host; every point runs in a fresh child process and replays the identical pre-generated schedule (flat baseline included)\",\n  \"flat_baseline\": {{\n    \"wall_ms\": {},\n    \"events_per_sec\": {:.0},\n    \"engine_events\": {}\n  }},\n  \"overhead_vs_flat_percent\": {:.2},\n  \"rounds_reduction\": {{\n    \"classic_rounds_w1\": {},\n    \"classic_busy_us_w1\": {},\n    \"adaptive_rounds_w1\": {},\n    \"factor\": {:.2}\n  }},\n  \"scaling\": [\n{}\n  ]\n}}\n",
-        json_escape(notes),
+        "{{\n  \"bench\": \"cm-bench/src/bin/room_scale.rs\",\n  \"workload\": \"room-churn city, zone-sharded\",\n  \"notes\": \"{}\",\n{},\n  \"methodology\": \"interleaved min-of-{} per point on a {}-core host; every point runs in a fresh child process and replays the identical pre-generated schedule (flat baseline included)\",\n  \"flat_baseline\": {{\n    \"wall_ms\": {},\n    \"events_per_sec\": {:.0},\n    \"engine_events\": {},\n    \"ns_per_event\": {:.1}\n  }},\n  \"overhead_vs_flat_percent\": {:.2},\n  \"scaling\": [\n{}\n  ]\n}}\n",
+        json_escape(&notes),
         config_json(cfg),
         runs,
         cores,
         baseline.wall_ms,
         baseline.events_per_sec,
         baseline.events,
+        ns_per_event(baseline),
         overhead_vs_flat_percent,
-        classic_w1.rounds,
-        classic_w1.busy_us_total,
-        adaptive_rounds_w1,
-        rounds_reduction,
         entries.join(",\n"),
     );
     std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
@@ -455,7 +457,6 @@ fn main() {
     let mut writes: Option<u32> = None;
     let mut churn: Option<u32> = None;
     let mut zones: Option<usize> = None;
-    let mut protocol: Option<String> = None;
     let mut threads: Option<usize> = None;
     let mut city_zones: Option<u32> = None;
     let mut wan_ms: Option<u64> = None;
@@ -486,7 +487,6 @@ fn main() {
             "--writes" => writes = Some(num(&take(&args, &mut i, "--writes"), "--writes")),
             "--churn" => churn = Some(num(&take(&args, &mut i, "--churn"), "--churn")),
             "--zones" => zones = Some(num(&take(&args, &mut i, "--zones"), "--zones")),
-            "--protocol" => protocol = Some(take(&args, &mut i, "--protocol")),
             "--threads" => threads = Some(num(&take(&args, &mut i, "--threads"), "--threads")),
             "--city-zones" => {
                 city_zones = Some(num(&take(&args, &mut i, "--city-zones"), "--city-zones"))
@@ -561,16 +561,6 @@ fn main() {
     if threads.is_some() && zones.is_none() && scaling.is_none() {
         fail("--threads only applies to cluster runs (--zones or --scaling)");
     }
-    if protocol.is_some() && zones.is_none() {
-        fail("--protocol only applies to --zones runs (--scaling measures both itself)");
-    }
-    let mode = match protocol.as_deref() {
-        None | Some("adaptive") => RoundMode::Adaptive,
-        Some("classic") => RoundMode::Classic,
-        Some(p) => fail(&format!(
-            "--protocol must be classic or adaptive, got {p:?}"
-        )),
-    };
     if let Some(list) = &scaling {
         if list.is_empty() || list.contains(&0) {
             fail("--scaling needs a comma-separated list of worker counts >= 1");
@@ -656,7 +646,6 @@ fn main() {
             &cfg,
             &schedule,
             z.min(cap),
-            mode,
             runs,
             smoke,
             metrics,
@@ -743,7 +732,6 @@ fn run_cluster_mode(
     cfg: &CityConfig,
     schedule: &CitySchedule,
     workers: usize,
-    mode: RoundMode,
     runs: u32,
     smoke: bool,
     metrics: bool,
@@ -753,8 +741,8 @@ fn run_cluster_mode(
     let (m, deterministic) = if smoke {
         // Smoke determinism covers the merged telemetry byte-for-byte,
         // and the rendered attribution report likewise.
-        let a = measure_cluster_mode(cfg, schedule, workers, Some(1 << 18), mode);
-        let b = measure_cluster_mode(cfg, schedule, workers, Some(1 << 18), mode);
+        let a = measure_cluster(cfg, schedule, workers, Some(1 << 18));
+        let b = measure_cluster(cfg, schedule, workers, Some(1 << 18));
         assert_eq!(
             a.stats.merged_jsonl, b.stats.merged_jsonl,
             "smoke cluster runs diverged: merged telemetry differs"
@@ -774,9 +762,9 @@ fn run_cluster_mode(
         );
         (if b.wall_ms < a.wall_ms { b } else { a }, Some(true))
     } else {
-        let mut best = measure_cluster_mode(cfg, schedule, workers, None, mode);
+        let mut best = measure_cluster(cfg, schedule, workers, None);
         for _ in 1..runs {
-            let m = measure_cluster_mode(cfg, schedule, workers, None, mode);
+            let m = measure_cluster(cfg, schedule, workers, None);
             if m.wall_ms < best.wall_ms {
                 best = m;
             }
@@ -901,11 +889,11 @@ fn run_cluster_mode(
 /// every point in a fresh child process.
 ///
 /// The flat baseline replays the *identical pre-generated schedule* the
-/// cluster points use (schedule generation excluded on both sides), so
-/// `overhead_vs_flat_percent` — sharded one-worker busy time over flat
-/// wall time, minus one — is an apples-to-apples sharding tax. A
-/// classic-protocol one-worker point rides along each pass to report
-/// `rounds_reduction` (classic barrier rounds / adaptive rounds).
+/// cluster points use (schedule generation excluded on both sides), and
+/// both sides' wall clock spans partition, world build and drain, so
+/// `overhead_vs_flat_percent` — one-worker wall ns per executed event
+/// over flat wall ns per executed event, minus one — is a per-event
+/// sharding tax on equal footing.
 fn run_scaling(
     cfg: &CityConfig,
     workload: &[String],
@@ -915,10 +903,12 @@ fn run_scaling(
     metrics: bool,
     out: Option<&str>,
 ) {
+    // The tax needs a one-worker point; measure it even if unlisted.
+    let mut list = list.to_vec();
+    if !list.contains(&1) {
+        list.insert(0, 1);
+    }
     let mut baseline: Option<Point> = None;
-    let mut classic_w1: Option<Point> = None;
-    let mut extra_w1: Option<Point> = None;
-    let need_extra_w1 = !list.contains(&1);
     let mut curve: Vec<(usize, Option<Point>)> = list.iter().map(|&w| (w, None)).collect();
     let keep_min = |best: &mut Option<Point>, p: Point| {
         if best.as_ref().is_none_or(|b| p.wall_us < b.wall_us) {
@@ -934,42 +924,33 @@ fn run_scaling(
         let p = bench_child(workload, &[]);
         eprintln!("  flat: {} ms", p.wall_ms);
         keep_min(&mut baseline, p);
-        let p = bench_child(workload, &["--zones", "1", "--protocol", "classic"]);
-        eprintln!("  classic w1: {} ms ({} rounds)", p.wall_ms, p.rounds);
-        keep_min(&mut classic_w1, p);
-        if need_extra_w1 {
-            let p = bench_child(workload, &["--zones", "1"]);
-            eprintln!("  adaptive w1: {} ms ({} rounds)", p.wall_ms, p.rounds);
-            keep_min(&mut extra_w1, p);
-        }
         for (w, best) in curve.iter_mut() {
             let z = (*w).min(cap).to_string();
             let p = bench_child(workload, &["--zones", &z]);
-            eprintln!("  adaptive w{w}: {} ms ({} rounds)", p.wall_ms, p.rounds);
+            eprintln!("  w{w}: {} ms ({} rounds)", p.wall_ms, p.rounds);
             keep_min(best, p);
         }
     }
     let baseline = baseline.expect("runs >= 1");
-    let classic_w1 = classic_w1.expect("runs >= 1");
     let curve: Vec<(usize, Point)> = curve
         .into_iter()
         .map(|(w, p)| (w, p.expect("runs >= 1")))
         .collect();
-    let adaptive_w1 = curve
+    let w1 = &curve
         .iter()
         .find(|(w, _)| *w == 1)
-        .map(|(_, p)| p)
-        .or(extra_w1.as_ref())
-        .expect("an adaptive one-worker point is always measured");
+        .expect("a one-worker point is always measured")
+        .1;
 
-    let overhead_vs_flat_percent =
-        (adaptive_w1.busy_us_total as f64 / baseline.wall_us.max(1) as f64 - 1.0) * 100.0;
-    let rounds_reduction = classic_w1.rounds as f64 / adaptive_w1.rounds.max(1) as f64;
+    let flat_ns = ns_per_event(&baseline);
+    let w1_ns = ns_per_event(w1);
+    let overhead_vs_flat_percent = (w1_ns / flat_ns - 1.0) * 100.0;
 
     eprintln!(
-        "{:>8} {:>9} {:>9} {:>7} {:>12} {:>10} {:>17} {:>14}",
+        "{:>8} {:>9} {:>9} {:>9} {:>7} {:>12} {:>10} {:>17} {:>14}",
         "workers",
         "wall_ms",
+        "ns/event",
         "speedup",
         "rounds",
         "busy_us",
@@ -978,14 +959,15 @@ fn run_scaling(
         "parallel_bound"
     );
     eprintln!(
-        "{:>8} {:>9} {:>9.3} {:>7} {:>12} {:>10} {:>17} {:>14}",
-        "flat", baseline.wall_ms, 1.0, "-", "-", "-", "-", "-"
+        "{:>8} {:>9} {:>9.1} {:>9.3} {:>7} {:>12} {:>10} {:>17} {:>14}",
+        "flat", baseline.wall_ms, flat_ns, 1.0, "-", "-", "-", "-", "-"
     );
     for (w, p) in &curve {
         eprintln!(
-            "{:>8} {:>9} {:>9.3} {:>7} {:>12} {:>10} {:>17} {:>14.3}",
+            "{:>8} {:>9} {:>9.1} {:>9.3} {:>7} {:>12} {:>10} {:>17} {:>14.3}",
             w,
             p.wall_ms,
+            ns_per_event(p),
             baseline.wall_us as f64 / p.wall_us.max(1) as f64,
             p.rounds,
             p.busy_us_total,
@@ -995,17 +977,15 @@ fn run_scaling(
         );
     }
     eprintln!(
-        "sharding tax (w1 busy vs flat wall): {overhead_vs_flat_percent:+.1}%; \
-barrier rounds: classic {} -> adaptive {} ({rounds_reduction:.1}x)",
-        classic_w1.rounds, adaptive_w1.rounds
+        "sharding tax (w1 vs flat wall ns per event: {w1_ns:.1} vs {flat_ns:.1}): \
+{overhead_vs_flat_percent:+.1}%"
     );
 
     if metrics {
         println!("flat_wall_ms={}", baseline.wall_ms);
+        println!("flat_ns_per_event={flat_ns:.1}");
+        println!("w1_ns_per_event={w1_ns:.1}");
         println!("overhead_vs_flat_percent={overhead_vs_flat_percent:.2}");
-        println!("classic_rounds_w1={}", classic_w1.rounds);
-        println!("adaptive_rounds_w1={}", adaptive_w1.rounds);
-        println!("rounds_reduction={rounds_reduction:.2}");
         for (w, p) in &curve {
             println!("wall_ms_w{w}={}", p.wall_ms);
             println!("rounds_w{w}={}", p.rounds);
@@ -1015,27 +995,7 @@ barrier rounds: classic {} -> adaptive {} ({rounds_reduction:.1}x)",
         }
     }
 
-    let Some(out) = out else {
-        return;
-    };
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let notes = format!(
-        "Scaling curve: flat single-engine baseline vs the zone-sharded cluster at each worker count, interleaved min-of-{} on a {}-core host, all points replaying the identical pre-generated schedule, each point measured in a fresh child process so one run's heap cannot skew the next. wall_ms/speedup_vs_flat are measured wall clock; parallel_speedup_bound = total shard busy time / critical path (the per-round max over workers, summed) — the speedup the same run reaches once every worker has its own core. On a {}-core host measured speedup saturates at the core count; the bound is the hardware-independent number. overhead_vs_flat_percent = (one-worker busy time / flat wall time - 1) * 100, the residual sharding tax under adaptive windows; rounds_reduction compares classic fixed-lookahead barrier rounds to adaptive rounds on the same one-worker run.",
-        runs, cores, cores
-    );
-    write_scaling_json(
-        out,
-        cfg,
-        &baseline,
-        &curve,
-        runs,
-        cores,
-        overhead_vs_flat_percent,
-        &classic_w1,
-        adaptive_w1.rounds,
-        rounds_reduction,
-        &notes,
-    );
+    if let Some(out) = out {
+        write_scaling_json(out, cfg, &baseline, &curve, runs, overhead_vs_flat_percent);
+    }
 }

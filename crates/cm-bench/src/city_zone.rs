@@ -894,31 +894,26 @@ pub fn run_city_cluster(
     run_city_cluster_schedule(cfg, &schedule, workers, telemetry_capacity)
 }
 
+/// As [`run_city_cluster_schedule`], with a round-protocol argument
+/// that is ignored: the cluster has one protocol, and this signature
+/// stays only for the frozen benchmark driver, which passes
+/// [`RoundMode::Adaptive`].
+pub fn run_city_cluster_mode(
+    cfg: &CityConfig,
+    schedule: &CitySchedule,
+    workers: usize,
+    telemetry_capacity: Option<usize>,
+    _mode: RoundMode,
+) -> ClusterCityStats {
+    run_city_cluster_schedule(cfg, schedule, workers, telemetry_capacity)
+}
+
 /// As [`run_city_cluster`], but reusing a pre-generated schedule.
 pub fn run_city_cluster_schedule(
     cfg: &CityConfig,
     schedule: &CitySchedule,
     workers: usize,
     telemetry_capacity: Option<usize>,
-) -> ClusterCityStats {
-    run_city_cluster_mode(
-        cfg,
-        schedule,
-        workers,
-        telemetry_capacity,
-        RoundMode::Adaptive,
-    )
-}
-
-/// As [`run_city_cluster_schedule`], but choosing the round protocol —
-/// [`RoundMode::Classic`] keeps the original two-barrier global-window
-/// loop alive for A/B overhead measurement.
-pub fn run_city_cluster_mode(
-    cfg: &CityConfig,
-    schedule: &CitySchedule,
-    workers: usize,
-    telemetry_capacity: Option<usize>,
-    mode: RoundMode,
 ) -> ClusterCityStats {
     let plan = Arc::new(ZonePlan::partition(cfg, schedule));
     let wan_us = plan.wan_latency_ms.max(1) * 1_000;
@@ -931,10 +926,8 @@ pub fn run_city_cluster_mode(
     }
     let cluster_cfg = ClusterConfig {
         workers,
-        lookahead_us: wan_us,
         max_rounds: 50_000_000,
-        mode,
-        matrix: Some(matrix),
+        matrix,
     };
     let builders: Vec<_> = (0..plan.zones)
         .map(|z| {
@@ -1032,51 +1025,5 @@ mod tests {
         // And the two runs really did use different thread counts.
         assert_eq!(one.workers, 1);
         assert_eq!(four.workers, 4);
-    }
-
-    #[test]
-    fn adaptive_mode_matches_classic_and_cuts_rounds() {
-        let cfg = small();
-        let schedule = CitySchedule::generate(&cfg);
-        let classic = run_city_cluster_mode(&cfg, &schedule, 1, Some(1 << 14), RoundMode::Classic);
-        let adaptive =
-            run_city_cluster_mode(&cfg, &schedule, 1, Some(1 << 14), RoundMode::Adaptive);
-        // Same simulation, different round partitioning. (Total engine
-        // callback counts are *not* compared: zero-effect internal
-        // wakeups may land differently around same-tick boundaries.)
-        assert_eq!(classic.agg.rooms_opened, adaptive.agg.rooms_opened);
-        assert_eq!(classic.agg.joins_ok, adaptive.agg.joins_ok);
-        assert_eq!(classic.agg.published, adaptive.agg.published);
-        assert_eq!(classic.agg.osdus_written, adaptive.agg.osdus_written);
-        assert_eq!(classic.wan_msgs, adaptive.wan_msgs);
-        assert_eq!(classic.wan_bytes, adaptive.wan_bytes);
-        assert_eq!(classic.agg.osdus_delivered, adaptive.agg.osdus_delivered);
-        assert_eq!(classic.agg.bytes_delivered, adaptive.agg.bytes_delivered);
-        // `engine.drain` spans and the `engine.events_drained` counter
-        // trace run_until batches and their internal wakeups, which
-        // legally differ between round protocols; everything else —
-        // every session/transport/packet event, timestamped — must be
-        // identical.
-        let strip = |s: &Option<String>| -> String {
-            s.as_deref()
-                .unwrap_or_default()
-                .lines()
-                .filter(|l| {
-                    !l.contains("\"engine.drain\"") && !l.contains("\"engine.events_drained\"")
-                })
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(
-            strip(&classic.merged_jsonl),
-            strip(&adaptive.merged_jsonl),
-            "round protocol must not leak into the simulation"
-        );
-        assert!(
-            adaptive.rounds * 2 <= classic.rounds,
-            "adaptive windows must collapse rounds ≥2× (classic {} vs adaptive {})",
-            classic.rounds,
-            adaptive.rounds
-        );
     }
 }

@@ -17,9 +17,8 @@
 //! window. Outbound cross-zone messages are drained into per-zone
 //! mailboxes, exchanged at the round's single barrier, and re-injected
 //! sorted by `(deliver_time, src_zone, seq)`, so the merged execution
-//! is byte-identical for any worker count, including one. The original
-//! two-barrier global-window protocol survives as
-//! [`RoundMode::Classic`] for A/B measurement.
+//! is byte-identical for any worker count, including one. This is the
+//! crate's only round protocol.
 //!
 //! The runner is engine-agnostic: anything implementing [`ZoneWorker`]
 //! can ride it, which keeps this crate dependency-free and lets the

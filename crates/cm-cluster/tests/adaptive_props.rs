@@ -2,10 +2,11 @@
 //! lookahead matrices and emission schedules, checked for worker-count
 //! invariance (merged report FNV identical for 1/2/4 workers), exact
 //! delivery times (an envelope never fires before — or anywhere but at —
-//! its `deliver_time`), and protocol equivalence (classic and adaptive
-//! execute the same simulation).
+//! its `deliver_time`), and agreement with a closed-form sequential
+//! oracle (every zone fires exactly the events a single-threaded
+//! replay would, in at most one round per event).
 
-use cm_cluster::{run_cluster, ClusterConfig, Envelope, LookaheadMatrix, RoundMode, ZoneWorker};
+use cm_cluster::{run_cluster, ClusterConfig, Envelope, LookaheadMatrix, ZoneWorker};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -46,17 +47,36 @@ impl Workload {
         m
     }
 
-    /// The uniform lookahead classic mode needs: the tightest edge.
-    fn min_latency(&self) -> u64 {
-        self.edges.iter().map(|e| e.latency_us).min().unwrap_or(1)
-    }
-
     fn latency(&self, src: u32, dst: u32) -> u64 {
         self.edges
             .iter()
             .find(|e| e.src == src && e.dst == dst)
             .map(|e| e.latency_us)
             .expect("emissions only ride declared edges")
+    }
+
+    /// The sequential oracle for zone `z`: its expected fire times (the
+    /// sorted multiset of its locals, its own emission times and the
+    /// arrival `at + latency` of every emission addressed to it) and its
+    /// expected deliveries (those arrivals alone, sorted).
+    fn oracle(&self, z: u32) -> (Vec<u64>, Vec<u64>) {
+        let mut delivered: Vec<u64> = self
+            .emissions
+            .iter()
+            .filter(|e| e.dst == z)
+            .map(|e| e.at_us + self.latency(e.src, e.dst))
+            .collect();
+        delivered.sort_unstable();
+        let mut fired = self.locals[z as usize].clone();
+        fired.extend(
+            self.emissions
+                .iter()
+                .filter(|e| e.src == z)
+                .map(|e| e.at_us),
+        );
+        fired.extend(&delivered);
+        fired.sort_unstable();
+        (fired, delivered)
     }
 }
 
@@ -160,13 +180,11 @@ fn builders(w: &Workload) -> Vec<Box<dyn FnOnce() -> PropZone + Send>> {
         .collect()
 }
 
-fn run(w: &Workload, workers: usize, mode: RoundMode) -> (Vec<PropReport>, u64) {
+fn run(w: &Workload, workers: usize) -> (Vec<PropReport>, u64) {
     let cfg = ClusterConfig {
         workers,
-        lookahead_us: w.min_latency(),
         max_rounds: 100_000,
-        mode,
-        matrix: Some(w.matrix()),
+        matrix: w.matrix(),
     };
     let report = run_cluster(builders(w), &cfg);
     (report.reports, report.rounds)
@@ -251,17 +269,15 @@ fn workload() -> impl Strategy<Value = Workload> {
 
 proptest! {
     /// The merged outcome — every fire time, every delivery — is
-    /// identical for 1, 2, and 4 workers, in both protocols.
+    /// identical for 1, 2, and 4 workers.
     #[test]
     fn worker_count_is_invisible(w in workload()) {
-        for mode in [RoundMode::Classic, RoundMode::Adaptive] {
-            let (one, _) = run(&w, 1, mode);
-            let base = fnv64(&one);
-            for workers in [2usize, 4] {
-                let (many, _) = run(&w, workers, mode);
-                prop_assert_eq!(fnv64(&many), base, "FNV diverged at workers={} in {:?}", workers, mode);
-                prop_assert_eq!(&many, &one, "reports diverged at workers={} in {:?}", workers, mode);
-            }
+        let (one, _) = run(&w, 1);
+        let base = fnv64(&one);
+        for workers in [2usize, 4] {
+            let (many, _) = run(&w, workers);
+            prop_assert_eq!(fnv64(&many), base, "FNV diverged at workers={}", workers);
+            prop_assert_eq!(&many, &one, "reports diverged at workers={}", workers);
         }
     }
 
@@ -269,7 +285,7 @@ proptest! {
     /// `deliver_time` — and it fires at exactly that instant.
     #[test]
     fn deliveries_are_never_early(w in workload()) {
-        let (reports, _) = run(&w, 2, RoundMode::Adaptive);
+        let (reports, _) = run(&w, 2);
         for r in &reports {
             for &(deliver_at, clock_at_injection) in &r.injected {
                 prop_assert!(
@@ -287,30 +303,32 @@ proptest! {
         }
     }
 
-    /// Classic and adaptive partition time differently but execute the
-    /// same simulation: same fire times, same deliveries — and adaptive
-    /// never needs more barrier rounds.
+    /// Every zone fires exactly what a sequential replay fires, on any
+    /// worker count, and the run needs no more rounds than events: the
+    /// zone holding the earliest deadline always executes at least one
+    /// event per round (the runner's liveness argument).
     #[test]
-    fn protocols_agree_on_the_simulation(w in workload()) {
-        let (classic, classic_rounds) = run(&w, 1, RoundMode::Classic);
-        let (adaptive, adaptive_rounds) = run(&w, 1, RoundMode::Adaptive);
-        for (c, a) in classic.iter().zip(adaptive.iter()) {
-            prop_assert_eq!(&c.fired, &a.fired);
-            // Injection *call order* is a protocol artifact (one wide
-            // adaptive round can hand over what classic spreads across
-            // several), so compare deliveries as a multiset.
-            let deliver = |r: &PropReport| {
-                let mut d: Vec<u64> = r.injected.iter().map(|&(d, _)| d).collect();
-                d.sort_unstable();
-                d
-            };
-            prop_assert_eq!(deliver(c), deliver(a));
+    fn sequential_oracle_predicts_every_zone(w in workload()) {
+        for workers in [1usize, 2, 4] {
+            let (reports, rounds) = run(&w, workers);
+            let mut events = 0u64;
+            for (z, r) in reports.iter().enumerate() {
+                let (fired, delivered) = w.oracle(z as u32);
+                prop_assert_eq!(&r.fired, &fired, "zone {} fire times at workers={}", z, workers);
+                // Injection *call order* is a windowing artifact, so
+                // compare deliveries as a multiset.
+                let mut got: Vec<u64> = r.injected.iter().map(|&(d, _)| d).collect();
+                got.sort_unstable();
+                prop_assert_eq!(&got, &delivered, "zone {} deliveries at workers={}", z, workers);
+                events += fired.len() as u64;
+            }
+            prop_assert!(
+                rounds <= events,
+                "{} rounds for {} events at workers={}",
+                rounds,
+                events,
+                workers
+            );
         }
-        prop_assert!(
-            adaptive_rounds <= classic_rounds,
-            "adaptive windows regressed rounds: {} vs classic {}",
-            adaptive_rounds,
-            classic_rounds
-        );
     }
 }

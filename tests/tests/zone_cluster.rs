@@ -1,6 +1,6 @@
 //! Zone-sharded cluster integration: determinism across worker counts,
 //! the flat-in-membership wide-area cost (DESIGN.md §11) and the pinned
-//! flat smoke surface.
+//! flat and sharded smoke surfaces.
 
 use cm_bench::city_run::run_city_schedule;
 use cm_bench::city_zone::run_city_cluster;
