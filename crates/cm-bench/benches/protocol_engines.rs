@@ -33,26 +33,26 @@ fn sink_engine(c: &mut Criterion) {
         g.bench_function(BenchmarkId::new("10k_osdus", name), |b| {
             b.iter(|| {
                 let mut e = SinkEngine::new(class);
+                let mut actions = Vec::new();
                 let mut delivered = 0u64;
+                let mut feed = |e: &mut SinkEngine, seq: u64, now: SimTime| {
+                    e.on_tpdu(&tpdu(seq), false, now, &mut actions);
+                    actions
+                        .drain(..)
+                        .filter(|a| matches!(a, SinkAction::Deliver(_)))
+                        .count() as u64
+                };
                 for seq in 0..10_000u64 {
                     if lose_every != 0 && seq as usize % lose_every == 7 {
                         continue; // lost in transit
                     }
-                    for a in e.on_tpdu(&tpdu(seq), false, SimTime::from_micros(seq)) {
-                        if matches!(a, SinkAction::Deliver(_)) {
-                            delivered += 1;
-                        }
-                    }
+                    delivered += feed(&mut e, seq, SimTime::from_micros(seq));
                 }
                 // Repair pass for the correcting class.
                 if class.corrects() {
                     for seq in 0..10_000u64 {
                         if lose_every != 0 && seq as usize % lose_every == 7 {
-                            for a in e.on_tpdu(&tpdu(seq), false, SimTime::from_millis(200)) {
-                                if matches!(a, SinkAction::Deliver(_)) {
-                                    delivered += 1;
-                                }
-                            }
+                            delivered += feed(&mut e, seq, SimTime::from_millis(200));
                         }
                     }
                 }

@@ -34,7 +34,16 @@ pub struct BufferStats {
     pub full_time: SimDuration,
 }
 
-type Waker = Box<dyn FnOnce()>;
+/// A parked side's wake-up callback. The `*_deferred` operations hand it
+/// back instead of running it, so the data path can run it in its own
+/// effect order.
+pub(crate) type Waker = Box<dyn FnOnce()>;
+
+fn run(waker: Option<Waker>) {
+    if let Some(w) = waker {
+        w();
+    }
+}
 
 struct Inner {
     capacity: usize,
@@ -129,37 +138,45 @@ impl BufferHandle {
     ///
     /// On success, a parked consumer (if the gate is open) is woken.
     pub fn try_push(&self, now: SimTime, osdu: Osdu) -> PushOutcome {
-        let (outcome, wakers) = {
-            let mut b = self.inner.borrow_mut();
-            if b.is_full() {
-                return PushOutcome::Full(osdu);
-            }
-            b.slots.push_back(osdu);
-            b.pushed += 1;
-            let filled = b.is_full();
-            if filled && b.full_since.is_none() {
-                b.full_since = Some(now);
-            }
-            let mut wakers: Vec<Waker> = Vec::new();
-            if !b.gated {
-                if let Some(w) = b.consumer_waiter.take() {
-                    b.finish_consumer_block(now);
-                    wakers.push(w);
-                }
-            }
-            if filled {
-                if let Some(f) = b.full_watch.clone() {
-                    // Runs after the borrow drops; the callback may freely
-                    // re-enter the buffer.
-                    wakers.push(Box::new(move || f()));
-                }
-            }
-            (PushOutcome::Pushed { filled }, wakers)
-        };
-        for w in wakers {
-            w();
-        }
+        let (outcome, waker) = self.push_deferred(now, osdu);
+        run(waker);
         outcome
+    }
+
+    /// [`BufferHandle::try_push`] that returns the wake-up (parked
+    /// consumer, then the full watch) instead of running it.
+    pub(crate) fn push_deferred(&self, now: SimTime, osdu: Osdu) -> (PushOutcome, Option<Waker>) {
+        let mut b = self.inner.borrow_mut();
+        if b.is_full() {
+            return (PushOutcome::Full(osdu), None);
+        }
+        b.slots.push_back(osdu);
+        b.pushed += 1;
+        let filled = b.is_full();
+        if filled && b.full_since.is_none() {
+            b.full_since = Some(now);
+        }
+        let mut waker = None;
+        if !b.gated {
+            waker = b.consumer_waiter.take();
+            if waker.is_some() {
+                b.finish_consumer_block(now);
+            }
+        }
+        if filled {
+            if let Some(f) = b.full_watch.clone() {
+                // Runs after the borrow drops; the callback may freely
+                // re-enter the buffer.
+                waker = Some(match waker {
+                    Some(w) => Box::new(move || {
+                        w();
+                        f()
+                    }),
+                    None => Box::new(move || f()),
+                });
+            }
+        }
+        (PushOutcome::Pushed { filled }, waker)
     }
 
     /// Park the producer until a slot frees; `waker` runs exactly once.
@@ -178,34 +195,38 @@ impl BufferHandle {
     /// Attempt to remove the oldest OSDU. Returns `None` when empty or
     /// gated. On success, a parked producer is woken.
     pub fn try_pop(&self, now: SimTime) -> Option<Osdu> {
-        let (osdu, waker) = {
-            let mut b = self.inner.borrow_mut();
-            if b.gated {
-                return None;
-            }
-            if let Some(limit) = b.release_limit {
-                match b.slots.front() {
-                    Some(o) if o.seq() >= limit => return None,
-                    _ => {}
-                }
-            }
-            let was_full = b.is_full();
-            let osdu = b.slots.pop_front()?;
-            b.popped += 1;
-            if was_full {
-                if let Some(t0) = b.full_since.take() {
-                    b.full_acc += now.saturating_since(t0);
-                }
-            }
-            let waker = b.producer_waiter.take().inspect(|_w| {
-                b.finish_producer_block(now);
-            });
-            (osdu, waker)
-        };
-        if let Some(w) = waker {
-            w();
+        let (osdu, waker) = self.pop_deferred(now);
+        run(waker);
+        osdu
+    }
+
+    /// [`BufferHandle::try_pop`] that returns the parked producer's
+    /// wake-up instead of running it.
+    pub(crate) fn pop_deferred(&self, now: SimTime) -> (Option<Osdu>, Option<Waker>) {
+        let mut b = self.inner.borrow_mut();
+        if b.gated {
+            return (None, None);
         }
-        Some(osdu)
+        if let Some(limit) = b.release_limit {
+            match b.slots.front() {
+                Some(o) if o.seq() >= limit => return (None, None),
+                _ => {}
+            }
+        }
+        let was_full = b.is_full();
+        let Some(osdu) = b.slots.pop_front() else {
+            return (None, None);
+        };
+        b.popped += 1;
+        if was_full {
+            if let Some(t0) = b.full_since.take() {
+                b.full_acc += now.saturating_since(t0);
+            }
+        }
+        let waker = b.producer_waiter.take().inspect(|_w| {
+            b.finish_producer_block(now);
+        });
+        (Some(osdu), waker)
     }
 
     /// Park the consumer until data is available and the gate is open.
@@ -224,19 +245,20 @@ impl BufferHandle {
     /// not deliver). Opening the gate wakes a parked consumer if data is
     /// waiting.
     pub fn set_gated(&self, now: SimTime, gated: bool) {
-        let waker = {
-            let mut b = self.inner.borrow_mut();
-            b.gated = gated;
-            if !gated && !b.slots.is_empty() {
-                b.consumer_waiter.take().inspect(|_w| {
-                    b.finish_consumer_block(now);
-                })
-            } else {
-                None
-            }
-        };
-        if let Some(w) = waker {
-            w();
+        run(self.set_gated_deferred(now, gated));
+    }
+
+    /// [`BufferHandle::set_gated`] that returns the parked consumer's
+    /// wake-up instead of running it.
+    pub(crate) fn set_gated_deferred(&self, now: SimTime, gated: bool) -> Option<Waker> {
+        let mut b = self.inner.borrow_mut();
+        b.gated = gated;
+        if !gated && !b.slots.is_empty() {
+            b.consumer_waiter.take().inspect(|_w| {
+                b.finish_consumer_block(now);
+            })
+        } else {
+            None
         }
     }
 
@@ -278,22 +300,24 @@ impl BufferHandle {
     /// burst of media buffered from the previous play", §6.2.1). Wakes a
     /// parked producer. Returns how many units were discarded.
     pub fn flush(&self, now: SimTime) -> usize {
-        let (n, waker) = {
-            let mut b = self.inner.borrow_mut();
-            let n = b.slots.len();
-            if let Some(t0) = b.full_since.take() {
-                b.full_acc += now.saturating_since(t0);
-            }
-            b.slots.clear();
-            let waker = b.producer_waiter.take().inspect(|_w| {
-                b.finish_producer_block(now);
-            });
-            (n, waker)
-        };
-        if let Some(w) = waker {
-            w();
-        }
+        let (n, waker) = self.flush_deferred(now);
+        run(waker);
         n
+    }
+
+    /// [`BufferHandle::flush`] that returns the parked producer's wake-up
+    /// instead of running it.
+    pub(crate) fn flush_deferred(&self, now: SimTime) -> (usize, Option<Waker>) {
+        let mut b = self.inner.borrow_mut();
+        let n = b.slots.len();
+        if let Some(t0) = b.full_since.take() {
+            b.full_acc += now.saturating_since(t0);
+        }
+        b.slots.clear();
+        let waker = b.producer_waiter.take().inspect(|_w| {
+            b.finish_producer_block(now);
+        });
+        (n, waker)
     }
 
     /// Register the buffer-became-full callback (the sink LLO's priming

@@ -1,5 +1,5 @@
-//! The per-node transport entity: connection management, data path and
-//! demultiplexing.
+//! The per-node transport entity: connection management, demultiplexing
+//! and the driver of the per-VC data path.
 //!
 //! One [`TransportEntity`] runs on every end-system, registered as the
 //! node's packet handler. It implements the full service of §4:
@@ -14,29 +14,36 @@
 //! - the orchestration-facing hooks (§5–6): per-VC control channel, receive
 //!   gating, source-side drops, rate retuning and blocking-time harvest.
 //!
-//! **Re-entrancy discipline.** The entity's state sits in one `RefCell`.
-//! Nothing that can call back into the entity runs while that borrow is
-//! held: user/tap callbacks are dispatched as engine events at the current
-//! instant, and buffer wakers are engine-scheduling trampolines.
+//! The data path itself is a sans-I/O machine ([`crate::datapath`]); this
+//! entity is its one driver, for timer fires, packet demultiplexing and
+//! service calls alike.
+//!
+//! **The driver rule.** The entity's state sits in one `RefCell`. Every
+//! data-path input runs under exactly one borrow of it and leaves its
+//! effects, in order, in the outbox; the driver then releases the borrow
+//! and performs those effects in emission order — sends, timer arms,
+//! buffer parks and wake-ups, user and tap dispatches (each an engine
+//! event at the current instant), the egress tap, healing signals. No
+//! effect is performed while the borrow is held, so anything an effect
+//! calls back into finds the entity free; and since the emission order is
+//! the order the effects always had, the engine schedule is unchanged.
 
-use crate::buffer::{BufferHandle, PushOutcome};
+use crate::datapath::{Ctx, Indication, Outbox, Output, TapEvent, To};
+use crate::heal::HealReason;
 use crate::monitor::QosMonitor;
-use crate::rate::RateClock;
-use crate::receiver::{SinkAction, SinkEngine};
 use crate::service::{EgressTap, EntityConfig, TransportService, TransportUser, VcTap};
-use crate::tpdu::{fragment_sizes, ControlMsg, DataTpdu, QosReport, CONTROL_WIRE_SIZE};
-use crate::vc::{EndStats, SinkEnd, SourceEnd, Vc, VcPhase, VcRole};
-use crate::window::{GoBackNReceiver, GoBackNSender};
+use crate::tpdu::{ControlMsg, DataTpdu, CONTROL_WIRE_SIZE};
+use crate::vc::{SinkEnd, SourceEnd, Vc, VcPhase, VcRole};
+use crate::window::GoBackNSender;
 use cm_core::address::{AddressTriple, NetAddr, TransportAddr, Tsap, VcId};
 use cm_core::error::{DisconnectReason, ServiceError};
-use cm_core::osdu::{Osdu, Payload};
 use cm_core::qos::{GuaranteeMode, QosParams, QosRequirement, QosTolerance};
 use cm_core::service_class::{ProtocolProfile, ServiceClass};
 use cm_core::slab::{Slab, SlabHandle};
-use cm_core::time::SimTime;
+use cm_core::time::{SimDuration, SimTime};
 use cm_core::FastMap;
 use cm_telemetry::{Layer, Telemetry};
-use netsim::{Network, NodeHandler, Packet};
+use netsim::{Network, NodeHandler, Packet, PeriodicTimer};
 use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -81,9 +88,10 @@ struct PendingRemote {
 }
 
 /// Everything the entity holds for one VC endpoint, in one slab slot:
-/// the connection state plus the orchestration tap and self-healing
-/// state that used to live in sibling maps keyed by the same id. One
-/// slot, one cache line neighbourhood, one lookup.
+/// the connection state plus the driver-side resources that serve it —
+/// the orchestration taps, the self-healing state and the timers that
+/// schedule the data path's inputs. One slot, one cache line
+/// neighbourhood, one lookup.
 pub(crate) struct VcEntry {
     pub(crate) vc: Vc,
     /// The orchestration tap, when registered.
@@ -93,6 +101,34 @@ pub(crate) struct VcEntry {
     pub(crate) egress: Option<Rc<dyn EgressTap>>,
     /// Self-healing state (probe timer + lifetime counters).
     pub(crate) heal: Option<crate::heal::HealState>,
+    /// Pacing-tick timer (source ends); each re-arm implicitly drops the
+    /// previous deadline. Attached after the entry is inserted so the
+    /// closure can capture the slab handle; set back to `None` at
+    /// teardown, which frees the engine's timer slot.
+    tick: Option<PeriodicTimer>,
+    /// Window RTO timer (source ends; same lifecycle as `tick`).
+    rto: Option<PeriodicTimer>,
+    /// Monitor period timer (monitored sink ends).
+    monitor: Option<PeriodicTimer>,
+}
+
+/// A VC addressed by id (demultiplex points, service calls) or by its
+/// slab handle (timers, wakers).
+pub(crate) enum VcKey {
+    Id(VcId),
+    Handle(SlabHandle),
+}
+
+impl From<VcId> for VcKey {
+    fn from(vc: VcId) -> VcKey {
+        VcKey::Id(vc)
+    }
+}
+
+impl From<SlabHandle> for VcKey {
+    fn from(h: SlabHandle) -> VcKey {
+        VcKey::Handle(h)
+    }
 }
 
 /// Slab-indexed VC store. The id→handle map is consulted once per event
@@ -127,20 +163,37 @@ impl VcTable {
         self.slots.get_mut(h)
     }
 
+    /// The entry behind a key, with its handle.
+    fn lookup(&mut self, key: VcKey) -> Option<(SlabHandle, &mut VcEntry)> {
+        let h = match key {
+            VcKey::Id(vc) => self.resolve(vc)?,
+            VcKey::Handle(h) => h,
+        };
+        self.slots.get_mut(h).map(|e| (h, e))
+    }
+
+    /// The full entry behind an id.
+    pub(crate) fn entry(&self, vc: &VcId) -> Option<&VcEntry> {
+        self.resolve(*vc).and_then(|h| self.slots.get(h))
+    }
+
+    /// Mutable entry behind an id.
+    pub(crate) fn entry_mut(&mut self, vc: &VcId) -> Option<&mut VcEntry> {
+        let h = self.resolve(*vc)?;
+        self.slots.get_mut(h)
+    }
+
     pub(crate) fn get(&self, vc: &VcId) -> Option<&Vc> {
-        self.resolve(*vc)
-            .and_then(|h| self.slots.get(h))
-            .map(|e| &e.vc)
+        self.entry(vc).map(|e| &e.vc)
     }
 
     pub(crate) fn get_mut(&mut self, vc: &VcId) -> Option<&mut Vc> {
-        let h = self.resolve(*vc)?;
-        self.slots.get_mut(h).map(|e| &mut e.vc)
+        self.entry_mut(vc).map(|e| &mut e.vc)
     }
 
-    /// Insert a fresh VC endpoint (tap and heal start empty). Ids are
-    /// wire-global and never reused, so a duplicate insert replaces the
-    /// whole entry.
+    /// Insert a fresh VC endpoint (taps, heal and timers start empty).
+    /// Ids are wire-global and never reused, so a duplicate insert
+    /// replaces the whole entry.
     pub(crate) fn insert(&mut self, vc: VcId, v: Vc) -> SlabHandle {
         if let Some(h) = self.resolve(vc) {
             self.slots.remove(h);
@@ -150,74 +203,20 @@ impl VcTable {
             tap: None,
             egress: None,
             heal: None,
+            tick: None,
+            rto: None,
+            monitor: None,
         });
         self.by_id.insert(vc, h);
         h
     }
 
-    pub(crate) fn tap(&self, vc: &VcId) -> Option<Rc<dyn VcTap>> {
-        self.resolve(*vc)
-            .and_then(|h| self.slots.get(h))
-            .and_then(|e| e.tap.clone())
-    }
-
-    pub(crate) fn set_tap(&mut self, vc: VcId, tap: Rc<dyn VcTap>) -> bool {
-        match self.resolve(vc).and_then(|h| self.slots.get_mut(h)) {
-            Some(e) => {
-                e.tap = Some(tap);
-                true
-            }
-            None => false,
-        }
-    }
-
-    pub(crate) fn clear_tap(&mut self, vc: &VcId) {
-        if let Some(e) = self.resolve(*vc).and_then(|h| self.slots.get_mut(h)) {
-            e.tap = None;
-        }
-    }
-
-    pub(crate) fn set_egress(&mut self, vc: VcId, tap: Rc<dyn EgressTap>) -> bool {
-        match self.resolve(vc).and_then(|h| self.slots.get_mut(h)) {
-            Some(e) => {
-                e.egress = Some(tap);
-                true
-            }
-            None => false,
-        }
-    }
-
-    pub(crate) fn clear_egress(&mut self, vc: &VcId) {
-        if let Some(e) = self.resolve(*vc).and_then(|h| self.slots.get_mut(h)) {
-            e.egress = None;
-        }
-    }
-
     pub(crate) fn heal(&self, vc: &VcId) -> Option<&crate::heal::HealState> {
-        self.resolve(*vc)
-            .and_then(|h| self.slots.get(h))
-            .and_then(|e| e.heal.as_ref())
+        self.entry(vc).and_then(|e| e.heal.as_ref())
     }
 
     pub(crate) fn heal_mut(&mut self, vc: &VcId) -> Option<&mut crate::heal::HealState> {
-        let h = self.resolve(*vc)?;
-        self.slots.get_mut(h).and_then(|e| e.heal.as_mut())
-    }
-
-    pub(crate) fn has_heal(&self, vc: &VcId) -> bool {
-        self.heal(vc).is_some()
-    }
-
-    pub(crate) fn set_heal(&mut self, vc: VcId, hs: crate::heal::HealState) {
-        if let Some(e) = self.resolve(vc).and_then(|h| self.slots.get_mut(h)) {
-            e.heal = Some(hs);
-        }
-    }
-
-    pub(crate) fn remove_heal(&mut self, vc: &VcId) {
-        if let Some(e) = self.resolve(*vc).and_then(|h| self.slots.get_mut(h)) {
-            e.heal = None;
-        }
+        self.entry_mut(vc).and_then(|e| e.heal.as_mut())
     }
 }
 
@@ -231,6 +230,8 @@ pub(crate) struct State {
     /// remote release.
     initiated: FastMap<VcId, AddressTriple>,
     next_vc: u64,
+    /// The data path's reusable outbox, lent to one input at a time.
+    outbox: Outbox,
 }
 
 /// The transport entity of one node.
@@ -273,6 +274,7 @@ impl TransportEntity {
                 pending_remote: FastMap::default(),
                 initiated: FastMap::default(),
                 next_vc: 0,
+                outbox: Outbox::default(),
             }),
         });
         net.set_handler(node, Rc::new(EntityRef(entity.clone())));
@@ -318,77 +320,255 @@ impl TransportEntity {
         self.net.send(self.node, pkt);
     }
 
-    /// Source-side feedback that must reach every receiving end: unicast
-    /// to the peer on an ordinary VC, multicast over the group's control
-    /// channel on a group VC.
-    pub(crate) fn send_source_feedback(&self, vc: VcId, msg: ControlMsg) {
-        let target = {
-            let st = self.state.borrow();
-            st.vcs
-                .get(&vc)
-                .map(|v| (v.group.as_ref().map(|ge| ge.group), v.peer_node))
-        };
-        match target {
-            Some((Some(g), _)) => {
+    // ------------------------------------------------------------------
+    // The data-path driver
+    // ------------------------------------------------------------------
+
+    fn ctx<'a>(&'a self, local: &'a dyn Fn() -> SimTime) -> Ctx<'a> {
+        Ctx {
+            now: self.now(),
+            local,
+            node: self.node,
+            mtu: self.config.mtu,
+            rto_patience: self.config.heal_rto_patience,
+            tel: &self.tel,
+            obs: &self.obs,
+        }
+    }
+
+    /// Run one data-path input against the VC behind `key`: the input
+    /// runs under one state borrow and fills the outbox; the borrow is
+    /// released and the outputs are performed in emission order. `None`
+    /// when no such VC exists.
+    pub(crate) fn drive<R>(
+        self: &Rc<Self>,
+        key: impl Into<VcKey>,
+        input: impl FnOnce(&mut VcEntry, &Ctx<'_>, &mut Outbox) -> R,
+    ) -> Option<R> {
+        let local = || self.local_now();
+        let cx = self.ctx(&local);
+        let mut guard = self.state.borrow_mut();
+        let st = &mut *guard;
+        let (h, e) = st.vcs.lookup(key.into())?;
+        let (vc, r) = (e.vc.id, input(e, &cx, &mut st.outbox));
+        if st.outbox.is_empty() {
+            return Some(r);
+        }
+        // Perform with the borrow released. An effect may re-enter the
+        // driver (the egress tap may write): the nested input finds the
+        // outbox empty and fills its own.
+        let mut out = st.outbox.take_out();
+        drop(guard);
+        for o in out.drain(..) {
+            self.perform(h, vc, cx.now, o);
+        }
+        self.state.borrow_mut().outbox.give_back(out);
+        Some(r)
+    }
+
+    /// Perform one output of VC `vc` (behind `h`) at `now`, with no
+    /// state borrow held across the effect.
+    fn perform(self: &Rc<Self>, h: SlabHandle, vc: VcId, now: SimTime, o: Output) {
+        match o {
+            Output::Data { to, tpdu } => {
+                let (seq, wire) = (tpdu.osdu_seq, tpdu.wire_size());
+                let pdu = WirePdu::Data(tpdu);
+                let pkt = match to {
+                    To::Node(node) => Packet::data(self.node, node, vc, wire, now, pdu),
+                    To::Group(g) => Packet::group(
+                        self.node,
+                        g,
+                        Some(vc),
+                        netsim::PacketClass::Data,
+                        wire,
+                        now,
+                        pdu,
+                    ),
+                };
+                self.send(to, self.traced(pkt, vc, seq));
+            }
+            Output::WindowData { to, wseq, tpdu } => {
+                let (seq, wire) = (tpdu.osdu_seq, tpdu.wire_size());
+                let pdu = WirePdu::WindowData { wseq, tpdu };
+                let pkt = Packet::data(self.node, to, vc, wire, now, pdu);
+                self.net.send(self.node, self.traced(pkt, vc, seq));
+            }
+            Output::Control {
+                to: To::Node(node),
+                msg,
+            } => self.send_control(node, msg.into_control(vc)),
+            Output::Control {
+                to: To::Group(g),
+                msg,
+            } => {
+                let msg = msg.into_control(vc);
                 let pkt = Packet::group(
                     self.node,
                     g,
                     Some(vc),
                     netsim::PacketClass::Control,
                     CONTROL_WIRE_SIZE,
-                    self.now(),
+                    now,
                     WirePdu::Control(msg),
                 );
                 self.net.send_to_group(g, pkt);
             }
-            Some((None, peer)) => self.send_control(peer, msg),
-            None => {}
+            Output::ArmTick { local, floor } => {
+                let at = self.local_to_global(local).max(floor);
+                self.timer(h, |e| &e.tick, |t| t.arm_at(at));
+            }
+            Output::DisarmTick => self.timer(h, |e| &e.tick, PeriodicTimer::disarm),
+            Output::ArmRto(at) => self.timer(
+                h,
+                |e| &e.rto,
+                |t| match at {
+                    Some(at) => t.arm_at(at.max(now)),
+                    None => t.disarm(),
+                },
+            ),
+            Output::ArmMonitor(at) => self.timer(h, |e| &e.monitor, |t| t.arm_at(at)),
+            Output::ParkSource(buf) => {
+                buf.park_consumer(now, self.wake_later(h, Vc::on_send_buffer_ready))
+            }
+            Output::ParkSink(buf) => buf.park_producer(now, self.wake_later(h, Vc::drain_pending)),
+            Output::Wake(waker) => waker(),
+            Output::LossIndication { tsap, seq } => self.indicate(tsap, Indication::Error(vc, seq)),
+            Output::QosIndication { tsap, report } => self.indicate(tsap, Indication::Qos(*report)),
+            Output::Tap(ev) => {
+                let tap = self.state.borrow().vcs.at(h).and_then(|e| e.tap.clone());
+                if let Some(tap) = tap {
+                    self.net
+                        .engine()
+                        .schedule_in(SimDuration::ZERO, move |_| match ev {
+                            TapEvent::Arrived(opdu) => tap.on_osdu_arrived(vc, opdu),
+                            TapEvent::Control(payload) => tap.on_control(vc, payload),
+                            TapEvent::Loss(seq) => tap.on_loss_indicated(vc, seq),
+                        });
+                }
+            }
+            Output::Egress(osdu) => {
+                let tap = self.state.borrow().vcs.at(h).and_then(|e| e.egress.clone());
+                if let Some(tap) = tap {
+                    tap.on_osdu_written(vc, &osdu, now.as_micros());
+                }
+            }
+            Output::Heal(reason) => {
+                if reason == HealReason::Stall {
+                    self.trace_stall(vc, now);
+                }
+                self.heal_kick(vc, reason);
+            }
         }
     }
 
-    /// Dispatch a user callback as an event at the current instant.
-    pub(crate) fn to_user(
-        self: &Rc<Self>,
-        tsap: Tsap,
-        f: impl FnOnce(&TransportService, &Rc<dyn TransportUser>) + 'static,
-    ) {
-        let user = self.state.borrow().users.get(&tsap).cloned();
-        if let Some(user) = user {
-            self.dispatch_user(user, f);
+    fn send(&self, to: To, pkt: Packet) {
+        match to {
+            To::Node(_) => self.net.send(self.node, pkt),
+            To::Group(g) => self.net.send_to_group(g, pkt),
         }
     }
 
-    /// Schedule a callback on an already-resolved user (the fused paths
-    /// clone the user while they still hold the state borrow — scheduling
-    /// itself never touches entity state).
-    fn dispatch_user(
-        self: &Rc<Self>,
-        user: Rc<dyn TransportUser>,
-        f: impl FnOnce(&TransportService, &Rc<dyn TransportUser>) + 'static,
+    /// Tag a data packet for causal tracing, so the completing copy's
+    /// queue wait reaches the sink attribution.
+    fn traced(&self, mut pkt: Packet, vc: VcId, seq: u64) -> Packet {
+        if self.obs.enabled() {
+            pkt.trace = Some(netsim::PacketTrace {
+                stream: vc.0,
+                seq,
+                queued_us: 0,
+            });
+        }
+        pkt
+    }
+
+    /// Apply `f` to one of the timers of the entry behind `h`, if it is
+    /// still attached.
+    fn timer(
+        &self,
+        h: SlabHandle,
+        which: impl Fn(&VcEntry) -> &Option<PeriodicTimer>,
+        f: impl FnOnce(&PeriodicTimer),
     ) {
+        let st = self.state.borrow();
+        if let Some(t) = st.vcs.at(h).and_then(|e| which(e).as_ref()) {
+            f(t);
+        }
+    }
+
+    /// A buffer waker that re-enters the driver with `input` as an engine
+    /// event at the current instant (never synchronously: the buffer
+    /// operation that wakes it may run inside another input).
+    fn wake_later(
+        self: &Rc<Self>,
+        h: SlabHandle,
+        input: fn(&mut Vc, &Ctx<'_>, &mut Outbox),
+    ) -> impl FnOnce() + 'static {
+        let weak = Rc::downgrade(self);
+        move || {
+            if let Some(me) = weak.upgrade() {
+                let weak = Rc::downgrade(&me);
+                me.net.engine().schedule_in(SimDuration::ZERO, move |_| {
+                    if let Some(me) = weak.upgrade() {
+                        me.drive(h, |e, cx, ob| input(&mut e.vc, cx, ob));
+                    }
+                });
+            }
+        }
+    }
+
+    /// Dispatch an indication to the user bound at `tsap`, as an event at
+    /// the current instant (so the user may call straight back into the
+    /// service).
+    pub(crate) fn indicate(self: &Rc<Self>, tsap: Tsap, ind: Indication) {
+        let Some(user) = self.state.borrow().users.get(&tsap).cloned() else {
+            return;
+        };
         let me = self.clone();
-        self.net
-            .engine()
-            .schedule_in(cm_core::time::SimDuration::ZERO, move |_| {
-                let svc = TransportService::new(me.clone());
-                f(&svc, &user);
+        self.net.engine().schedule_in(SimDuration::ZERO, move |_| {
+            ind.deliver(&TransportService::new(me), &*user)
+        });
+    }
+
+    /// A source newly stalled on exhausted receiver credit.
+    fn trace_stall(&self, vc: VcId, now: SimTime) {
+        if !self.tel.enabled() {
+            return;
+        }
+        self.tel.count("vc.credit.stall", 1);
+        self.tel
+            .instant(now, Layer::Transport, "vc.credit.stall", |e| {
+                e.u64("vc", vc.0);
             });
     }
 
-    /// Dispatch a tap callback as an event at the current instant.
-    fn to_tap(self: &Rc<Self>, vc: VcId, f: impl FnOnce(&Rc<dyn VcTap>) + 'static) {
-        let tap = self.state.borrow().vcs.tap(&vc);
-        if let Some(tap) = tap {
-            self.dispatch_tap(tap, f);
+    /// Attach the timers that schedule the data path of the entry behind
+    /// `h` — tick and RTO for a source end, the monitor for a monitored
+    /// sink — then run its opening input. One engine slot and one boxed
+    /// closure per timer for the life of the VC; the closures capture the
+    /// generation-tagged slab handle, so every fire addresses the entry
+    /// directly and a fire after teardown or slot reuse is a no-op.
+    /// Creating a timer consumes no event sequence number, so the attach
+    /// never shifts the schedule.
+    pub(crate) fn open_entry(self: &Rc<Self>, h: SlabHandle) {
+        let timer = |input: fn(&mut Vc, &Ctx<'_>, &mut Outbox)| {
+            let weak = Rc::downgrade(self);
+            Some(PeriodicTimer::new(self.net.engine(), move |_| {
+                if let Some(me) = weak.upgrade() {
+                    me.drive(h, |e, cx, ob| input(&mut e.vc, cx, ob));
+                }
+            }))
+        };
+        {
+            let mut st = self.state.borrow_mut();
+            let Some(e) = st.vcs.at_mut(h) else { return };
+            if e.vc.source.is_some() {
+                e.tick = timer(Vc::tick);
+                e.rto = timer(Vc::on_rto);
+            } else if e.vc.sink.as_ref().is_some_and(|k| k.monitor.is_some()) {
+                e.monitor = timer(Vc::on_monitor);
+            }
         }
-    }
-
-    /// Schedule an already-resolved tap callback (the fused delivery path
-    /// clones the tap while it still holds the state borrow).
-    fn dispatch_tap(&self, tap: Rc<dyn VcTap>, f: impl FnOnce(&Rc<dyn VcTap>) + 'static) {
-        self.net
-            .engine()
-            .schedule_in(cm_core::time::SimDuration::ZERO, move |_| f(&tap));
+        self.drive(h, |e, cx, ob| e.vc.start(cx, ob));
     }
 
     // ------------------------------------------------------------------
@@ -742,55 +922,19 @@ impl TransportEntity {
         (per_half_s as usize).clamp(4, 64)
     }
 
-    /// Attach the pacing-tick and RTO timers to the source end behind
-    /// `h`. One engine slot and one boxed closure each for the life of
-    /// the VC; the closures capture the generation-tagged slab handle,
-    /// so every fire addresses the entry directly (no id lookup) and a
-    /// fire after teardown or slot reuse is a silent no-op. Called after
-    /// the entry is inserted — creating a timer consumes no event
-    /// sequence number, so the attach order never shifts the schedule.
-    pub(crate) fn attach_source_timers(self: &Rc<Self>, h: SlabHandle) {
-        let weak = Rc::downgrade(self);
-        let tick = netsim::PeriodicTimer::new(self.net.engine(), move |_| {
-            if let Some(me) = weak.upgrade() {
-                me.source_tick_h(h);
-            }
-        });
-        let weak = Rc::downgrade(self);
-        let rto = netsim::PeriodicTimer::new(self.net.engine(), move |_| {
-            if let Some(me) = weak.upgrade() {
-                me.rto_fire_h(h);
-            }
-        });
-        let mut st = self.state.borrow_mut();
-        if let Some(s) = st.vcs.at_mut(h).and_then(|e| e.vc.source.as_mut()) {
-            s.tick_timer = Some(tick);
-            s.rto_timer = Some(rto);
-        }
-    }
-
     fn open_sink(self: &Rc<Self>, vc: VcId, p: &PendingDst) {
-        let slots = p.capacity as usize;
         let monitor = (p.requirement.guarantee != GuaranteeMode::BestEffort)
             .then(|| QosMonitor::new(self.config.monitor_period, self.now()));
-        let mut sink = SinkEnd {
-            recv_buf: BufferHandle::new(slots),
-            engine: SinkEngine::new(p.class.error_control),
-            gbn_recv: (p.class.profile == ProtocolProfile::WindowBased).then(GoBackNReceiver::new),
-            app_popped: 0,
-            last_freed_sent: 0,
+        let window = p.class.profile == ProtocolProfile::WindowBased;
+        let sink = SinkEnd::new(
+            p.capacity as usize,
+            p.class.error_control,
+            window,
             monitor,
-            monitor_timer: None,
-            pending_delivery: std::collections::VecDeque::new(),
-            producer_parked: false,
-            lost_snap: 0,
-            delivered_snap: 0,
-        };
-        // Mid-stream group join: the stream position starts at the
-        // invitation point, not zero.
-        if p.start_seq > 0 {
-            sink.engine.start_at(p.start_seq);
-        }
+            // Mid-stream group join: the stream position starts at the
+            // invitation point, not zero.
+            p.start_seq,
+        );
         let v = Vc {
             id: vc,
             triple: p.triple,
@@ -806,23 +950,8 @@ impl TransportEntity {
             group: None,
             pending_reneg: None,
         };
-        let monitored = v.sink.as_ref().is_some_and(|k| k.monitor.is_some());
         let h = self.state.borrow_mut().vcs.insert(vc, v);
-        if monitored {
-            let weak = Rc::downgrade(self);
-            let timer = netsim::PeriodicTimer::new(self.net.engine(), move |_| {
-                if let Some(me) = weak.upgrade() {
-                    me.monitor_fire_h(h);
-                }
-            });
-            {
-                let mut st = self.state.borrow_mut();
-                if let Some(k) = st.vcs.at_mut(h).and_then(|e| e.vc.sink.as_mut()) {
-                    k.monitor_timer = Some(timer);
-                }
-            }
-            self.schedule_monitor_h(h);
-        }
+        self.open_entry(h);
     }
 
     fn open_source(
@@ -832,31 +961,16 @@ impl TransportEntity {
         agreed: QosParams,
         recv_capacity: u32,
     ) {
-        let slots = self.buffer_slots(&p.requirement);
-        let mut clock = RateClock::new(p.requirement.osdu_rate);
-        clock.start(self.local_now());
-        let source = SourceEnd {
-            send_buf: BufferHandle::new(slots),
-            clock,
-            gbn: (p.class.profile == ProtocolProfile::WindowBased)
-                .then(|| GoBackNSender::new(self.config.window_size, self.config.rto)),
-            pending_frags: std::collections::VecDeque::new(),
-            next_write_seq: 0,
-            charged: 0,
-            freed_remote: 0,
-            recv_capacity: recv_capacity as u64,
-            dropped: 0,
-            sent: 0,
-            retrans_cache: std::collections::VecDeque::new(),
-            retrans_cache_cap: (recv_capacity as usize) * 4,
-            tick_timer: None,
-            rto_timer: None,
-            waiting_buffer: false,
-            stalled_credit: false,
-            stalled_at: None,
-            rto_strikes: 0,
-            dropped_snap: 0,
-        };
+        let gbn = (p.class.profile == ProtocolProfile::WindowBased)
+            .then(|| GoBackNSender::new(self.config.window_size, self.config.rto));
+        let source = SourceEnd::new(
+            self.buffer_slots(&p.requirement),
+            p.requirement.osdu_rate,
+            self.local_now(),
+            gbn,
+            recv_capacity as u64,
+            (recv_capacity as usize) * 4,
+        );
         let v = Vc {
             id: vc,
             triple: p.triple,
@@ -884,13 +998,8 @@ impl TransportEntity {
             );
         }
         let h = self.state.borrow_mut().vcs.insert(vc, v);
-        self.attach_source_timers(h);
         // Arm the pacing/pump machinery; it will park on the empty buffer.
-        match p.class.profile {
-            ProtocolProfile::RateBasedCm => self.ensure_tick_h(h, self.now()),
-            ProtocolProfile::WindowBased => self.pump_window(vc),
-            ProtocolProfile::Datagram => {}
-        }
+        self.open_entry(h);
     }
 
     pub(crate) fn teardown_local(
@@ -920,15 +1029,15 @@ impl TransportEntity {
                         // dropped. At city scale this is the difference
                         // between memory tracking *live* VCs and memory
                         // tracking *every VC that ever existed*.
+                        e.tick = None;
+                        e.rto = None;
+                        e.monitor = None;
                         if let Some(s) = &mut v.source {
-                            s.tick_timer = None;
-                            s.rto_timer = None;
                             s.gbn = None;
                             s.pending_frags = std::collections::VecDeque::new();
                             s.retrans_cache = std::collections::VecDeque::new();
                         }
                         if let Some(k) = &mut v.sink {
-                            k.monitor_timer = None;
                             k.monitor = None;
                             k.pending_delivery = std::collections::VecDeque::new();
                         }
@@ -941,9 +1050,7 @@ impl TransportEntity {
         self.net.release_reservation(vc);
         if indicate {
             if let Some(tsap) = tsap {
-                self.to_user(tsap, move |svc, u| {
-                    u.t_disconnect_indication(svc, vc, reason)
-                });
+                self.indicate(tsap, Indication::Disconnect(vc, reason));
             }
         }
     }
@@ -961,9 +1068,15 @@ impl TransportEntity {
         let queued_us = pkt.trace.map_or(0, |t| t.queued_us);
         if let Some(pdu) = pkt.payload_as::<WirePdu>() {
             match pdu {
-                WirePdu::Data(tpdu) => self.on_data(tpdu.clone(), corrupted, queued_us),
+                WirePdu::Data(tpdu) => {
+                    self.drive(tpdu.vc, |e, cx, ob| {
+                        e.vc.on_data(cx, tpdu.clone(), corrupted, queued_us, ob)
+                    });
+                }
                 WirePdu::WindowData { wseq, tpdu } => {
-                    self.on_window_data(*wseq, tpdu.clone(), corrupted, queued_us)
+                    self.drive(tpdu.vc, |e, cx, ob| {
+                        e.vc.on_window_data(cx, *wseq, tpdu.clone(), corrupted, queued_us, ob)
+                    });
                 }
                 WirePdu::Control(msg) => self.on_control(from, msg.clone()),
             }
@@ -1002,9 +1115,10 @@ impl TransportEntity {
                         awaiting_user: true,
                     },
                 );
-                self.to_user(triple.source.tsap, move |svc, u| {
-                    u.t_connect_indication(svc, vc, triple, class, qos)
-                });
+                self.indicate(
+                    triple.source.tsap,
+                    Indication::Connect(vc, triple, class, qos),
+                );
             }
             ControlMsg::ConnectRequest {
                 vc,
@@ -1018,14 +1132,10 @@ impl TransportEntity {
                 if let Some(p) = p {
                     let tsap = p.triple.initiator.tsap;
                     match result {
-                        Ok(qos) => {
-                            self.to_user(tsap, move |svc, u| u.t_connect_confirm(svc, vc, Ok(qos)))
-                        }
+                        Ok(qos) => self.indicate(tsap, Indication::ConnectConfirm(vc, Ok(qos))),
                         Err(reason) => {
                             self.state.borrow_mut().initiated.remove(&vc);
-                            self.to_user(tsap, move |svc, u| {
-                                u.t_connect_confirm(svc, vc, Err(reason))
-                            })
+                            self.indicate(tsap, Indication::ConnectConfirm(vc, Err(reason)))
                         }
                     }
                 }
@@ -1069,8 +1179,8 @@ impl TransportEntity {
                         st.vcs.get(&vc).map(|v| v.local_tsap)
                     };
                     if let Some(tsap) = tsap {
-                        let r = reason.clone();
-                        self.to_user(tsap, move |svc, u| u.t_disconnect_indication(svc, vc, r));
+                        let reason = reason.clone();
+                        self.indicate(tsap, Indication::Disconnect(vc, reason));
                     } else {
                         // VC unknown: report back to the requester.
                         let _ = to_notify;
@@ -1091,9 +1201,7 @@ impl TransportEntity {
                     }
                 };
                 if let Some(tsap) = tsap {
-                    self.to_user(tsap, move |svc, u| {
-                        u.t_renegotiate_indication(svc, vc, new_tolerance)
-                    });
+                    self.indicate(tsap, Indication::Renegotiate(vc, new_tolerance));
                 }
             }
             ControlMsg::RenegotiateResponse { vc, result } => {
@@ -1110,38 +1218,36 @@ impl TransportEntity {
                                 v.contract = qos;
                             }
                         }
-                        self.to_user(tsap, move |svc, u| u.t_renegotiate_confirm(svc, vc, qos));
+                        self.indicate(tsap, Indication::RenegotiateConfirm(vc, qos));
                     }
                     Err(reason) => {
                         // §4.1.3: refusal arrives as T-Disconnect.indication
                         // but the existing VC is *not* torn down.
-                        self.to_user(tsap, move |svc, u| {
-                            u.t_disconnect_indication(svc, vc, reason)
-                        });
+                        self.indicate(tsap, Indication::Disconnect(vc, reason));
                     }
                 }
             }
-            ControlMsg::Credit { vc, freed_total } => self.on_credit(from, vc, freed_total),
-            ControlMsg::CreditProbe { vc } => self.force_send_credit(vc),
-            ControlMsg::Dropped { vc, seqs } => {
-                let now = self.now();
-                let actions = {
-                    let mut st = self.state.borrow_mut();
-                    match st.vcs.get_mut(&vc).and_then(|v| v.sink.as_mut()) {
-                        Some(k) => k.engine.on_drop_notice(&seqs, now),
-                        None => return,
-                    }
-                };
-                self.apply_sink_actions(vc, actions, None);
+            ControlMsg::Credit { vc, freed_total } => {
+                self.drive(vc, |e, cx, ob| e.vc.on_credit(cx, from, freed_total, ob));
             }
-            ControlMsg::Nack { vc, seqs } => self.on_nack(from, vc, seqs),
-            ControlMsg::Ack { vc, upto } => self.on_ack(vc, upto),
+            ControlMsg::CreditProbe { vc } => {
+                self.drive(vc, |e, _, ob| e.vc.sink_credit(true, ob));
+            }
+            ControlMsg::Dropped { vc, seqs } => {
+                self.drive(vc, |e, cx, ob| e.vc.on_dropped(cx, &seqs, ob));
+            }
+            ControlMsg::Nack { vc, seqs } => {
+                self.drive(vc, |e, cx, ob| e.vc.on_nack(cx, from, seqs, ob));
+            }
+            ControlMsg::Ack { vc, upto } => {
+                self.drive(vc, |e, cx, ob| e.vc.on_ack(cx, upto, ob));
+            }
             ControlMsg::QosReportMsg(report) => {
                 // A whole monitoring period at zero throughput with the
                 // contract violated is starvation — the path under this VC
                 // is suspect (self-healing, DESIGN.md §9).
                 if report.measured.throughput.as_bps() == 0 && !report.violations.is_empty() {
-                    self.heal_kick(report.vc, crate::heal::HealReason::Starved);
+                    self.heal_kick(report.vc, HealReason::Starved);
                 }
                 let info = {
                     let st = self.state.borrow();
@@ -1154,16 +1260,17 @@ impl TransportEntity {
                         // Per-receiver monitoring: attribute the report to
                         // the member that measured it.
                         let vc = report.vc;
-                        self.to_user(tsap, move |svc, u| {
-                            u.t_group_qos_indication(svc, vc, from, report)
-                        });
+                        self.indicate(tsap, Indication::GroupQos(vc, from, report));
                     } else {
-                        self.to_user(tsap, move |svc, u| u.t_qos_indication(svc, report));
+                        self.indicate(tsap, Indication::Qos(report));
                     }
                 }
             }
             ControlMsg::UserControl { vc, payload } => {
-                self.to_tap(vc, move |tap| tap.on_control(vc, payload));
+                let h = self.state.borrow().vcs.resolve(vc);
+                if let Some(h) = h {
+                    self.perform(h, vc, self.now(), Output::Tap(TapEvent::Control(payload)));
+                }
             }
             ControlMsg::Datagram {
                 to_tsap,
@@ -1171,9 +1278,7 @@ impl TransportEntity {
                 payload,
                 wire_size: _,
             } => {
-                self.to_user(to_tsap, move |svc, u| {
-                    u.t_datagram_indication(svc, from, payload)
-                });
+                self.indicate(to_tsap, Indication::Datagram(from, payload));
             }
         }
     }
@@ -1293,9 +1398,10 @@ impl TransportEntity {
                 start_seq: 0,
             },
         );
-        self.to_user(triple.destination.tsap, move |svc, u| {
-            u.t_connect_indication(svc, vc, triple, class, qos)
-        });
+        self.indicate(
+            triple.destination.tsap,
+            Indication::Connect(vc, triple, class, qos),
+        );
     }
 
     /// A group-VC invitation arrived at a prospective receiver. QoS and
@@ -1342,9 +1448,10 @@ impl TransportEntity {
                 start_seq,
             },
         );
-        self.to_user(triple.destination.tsap, move |svc, u| {
-            u.t_connect_indication(svc, vc, triple, class, requirement)
-        });
+        self.indicate(
+            triple.destination.tsap,
+            Indication::Connect(vc, triple, class, requirement),
+        );
     }
 
     fn on_connect_response(
@@ -1359,10 +1466,10 @@ impl TransportEntity {
             Ok((agreed, capacity)) => {
                 self.open_source(vc, &p, agreed, capacity);
                 // Confirm to the source user...
-                let src_tsap = p.triple.source.tsap;
-                self.to_user(src_tsap, move |svc, u| {
-                    u.t_connect_confirm(svc, vc, Ok(agreed))
-                });
+                self.indicate(
+                    p.triple.source.tsap,
+                    Indication::ConnectConfirm(vc, Ok(agreed)),
+                );
                 // ...and to the remote initiator (§3.5: responses to both).
                 if remote {
                     self.send_control(
@@ -1378,9 +1485,7 @@ impl TransportEntity {
                 let src_tsap = p.triple.source.tsap;
                 if remote {
                     let r = reason.clone();
-                    self.to_user(src_tsap, move |svc, u| {
-                        u.t_disconnect_indication(svc, vc, r)
-                    });
+                    self.indicate(src_tsap, Indication::Disconnect(vc, r));
                     self.send_control(
                         p.triple.initiator.node,
                         ControlMsg::RemoteConnectReply {
@@ -1389,1202 +1494,12 @@ impl TransportEntity {
                         },
                     );
                 } else {
-                    self.to_user(src_tsap, move |svc, u| {
-                        u.t_connect_confirm(svc, vc, Err(reason))
-                    });
+                    self.indicate(src_tsap, Indication::ConnectConfirm(vc, Err(reason)));
                 }
             }
         }
     }
 
-    // ------------------------------------------------------------------
-    // Rate-based data path
-    // ------------------------------------------------------------------
-
-    /// (Re)schedule the pacing tick for `vc` at its next due instant.
-    pub(crate) fn ensure_tick_now(self: &Rc<Self>, vc: VcId) {
-        let Some(h) = self.state.borrow().vcs.resolve(vc) else {
-            return;
-        };
-        self.ensure_tick_h(h, self.now());
-    }
-
-    /// As [`Self::ensure_tick_now`], by slab handle, with an explicit
-    /// earliest firing time. The early-wake re-arm passes `now + 1 µs`:
-    /// the local↔global clock conversions truncate to whole microseconds,
-    /// so a "due" instant can map back onto the current instant and a
-    /// same-time re-arm would spin forever without advancing virtual time.
-    fn ensure_tick_h(self: &Rc<Self>, h: SlabHandle, floor: SimTime) {
-        let st = self.state.borrow();
-        let Some(s) = st.vcs.at(h).and_then(|e| e.vc.source.as_ref()) else {
-            return;
-        };
-        let Some(at_local) = s.clock.next_due() else {
-            return;
-        };
-        let at = self.local_to_global(at_local).max(floor);
-        if let Some(t) = &s.tick_timer {
-            t.arm_at(at);
-        }
-    }
-
-    /// Id-keyed wrapper for the cold callers (group recompute, resume).
-    pub(crate) fn source_tick(self: &Rc<Self>, vc: VcId) {
-        let Some(h) = self.state.borrow().vcs.resolve(vc) else {
-            return;
-        };
-        self.source_tick_h(h);
-    }
-
-    /// One pacing-tick of the rate-based source behind `h` — the hottest
-    /// periodic path in the stack. The timer closure hands us the slab
-    /// handle, so the whole tick runs without a single id lookup.
-    pub(crate) fn source_tick_h(self: &Rc<Self>, h: SlabHandle) {
-        let now = self.now();
-        let local = self.local_now();
-        enum Next {
-            Idle,
-            ParkOnBuffer,
-            Send(Osdu),
-        }
-        let mut stalled_vc = None;
-        let next = {
-            let mut st = self.state.borrow_mut();
-            let Some(e) = st.vcs.at_mut(h) else { return };
-            if e.vc.phase != VcPhase::Open {
-                return;
-            }
-            let vc = e.vc.id;
-            let s = e.vc.source.as_mut().expect("source end on tick");
-            match s.clock.next_due() {
-                None => Next::Idle, // paused
-                // 1 us tolerance: local->global->local conversion truncates,
-                // so an exactly-due tick can read as infinitesimally early —
-                // without the slack it would re-arm at the same instant
-                // forever.
-                Some(due) if due > local + cm_core::time::SimDuration::from_micros(1) => {
-                    // Early wake (stale event survived a reschedule):
-                    // fall through to re-arm below.
-                    Next::Idle
-                }
-                Some(_) => {
-                    if !s.has_credit() {
-                        if !s.stalled_credit {
-                            s.stalled_at = Some(now);
-                            self.trace_stall(vc, now);
-                            stalled_vc = Some(vc);
-                        }
-                        s.stalled_credit = true;
-                        Next::Idle
-                    } else {
-                        match s.send_buf.try_pop(now) {
-                            Some(osdu) => Next::Send(osdu),
-                            None => Next::ParkOnBuffer,
-                        }
-                    }
-                }
-            }
-        };
-        if let Some(vc) = stalled_vc {
-            // Arm the self-healing probe: a stall that outlives the
-            // patience window gets its infrastructure checked.
-            self.heal_on_stall(vc);
-        }
-        match next {
-            Next::Idle => {
-                // Re-arm if running and due in the future.
-                let due = {
-                    let st = self.state.borrow();
-                    st.vcs
-                        .at(h)
-                        .and_then(|e| e.vc.source.as_ref())
-                        .and_then(|s| s.clock.next_due())
-                };
-                if let Some(due) = due {
-                    if due > local + cm_core::time::SimDuration::from_micros(1) {
-                        // Strictly future: see ensure_tick_h.
-                        self.ensure_tick_h(h, now + cm_core::time::SimDuration::from_micros(1));
-                    }
-                }
-            }
-            Next::ParkOnBuffer => {
-                // Protocol blocked: application slow producing (§6.3.1.2).
-                let (buf, already) = {
-                    let mut st = self.state.borrow_mut();
-                    let s = st
-                        .vcs
-                        .at_mut(h)
-                        .and_then(|e| e.vc.source.as_mut())
-                        .expect("source end");
-                    let already = s.waiting_buffer;
-                    s.waiting_buffer = true;
-                    (s.send_buf.clone(), already)
-                };
-                if !already {
-                    let me = self.clone();
-                    buf.park_consumer(now, move || {
-                        // Trampoline: never re-enter synchronously.
-                        let me2 = me.clone();
-                        me.net
-                            .engine()
-                            .schedule_in(cm_core::time::SimDuration::ZERO, move |_| {
-                                {
-                                    let mut st = me2.state.borrow_mut();
-                                    if let Some(s) =
-                                        st.vcs.at_mut(h).and_then(|e| e.vc.source.as_mut())
-                                    {
-                                        s.waiting_buffer = false;
-                                    }
-                                }
-                                me2.source_tick_h(h);
-                            });
-                    });
-                }
-            }
-            Next::Send(osdu) => {
-                self.transmit_osdu_h(h, osdu, false, None);
-                // Consume the pacing slot and re-arm in the same borrow —
-                // the old per-call path re-borrowed (and re-looked-up the
-                // id) three times for this one step.
-                let mut st = self.state.borrow_mut();
-                if let Some(s) = st.vcs.at_mut(h).and_then(|e| e.vc.source.as_mut()) {
-                    s.clock.consume_slot();
-                    // Never burst more than a couple of units of
-                    // backlog after a stall — rate-based senders pace.
-                    s.clock.limit_backlog(local, 2);
-                    if let Some(at_local) = s.clock.next_due() {
-                        let at = self.local_to_global(at_local).max(now);
-                        if let Some(t) = &s.tick_timer {
-                            t.arm_at(at);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Id-keyed wrapper for the cold callers (nack resends, heal unstick).
-    pub(crate) fn transmit_osdu(
-        self: &Rc<Self>,
-        vc: VcId,
-        osdu: Osdu,
-        is_retrans: bool,
-        explicit_to: Option<NetAddr>,
-    ) {
-        let Some(h) = self.state.borrow().vcs.resolve(vc) else {
-            return;
-        };
-        self.transmit_osdu_h(h, osdu, is_retrans, explicit_to);
-    }
-
-    /// Fragment and transmit one OSDU (fresh or retransmission). Fresh
-    /// sends on a group VC fan out over the shared tree; `explicit_to`
-    /// overrides the destination for per-receiver unicast retransmission.
-    pub(crate) fn transmit_osdu_h(
-        self: &Rc<Self>,
-        h: SlabHandle,
-        osdu: Osdu,
-        is_retrans: bool,
-        explicit_to: Option<NetAddr>,
-    ) {
-        enum Dest {
-            Unicast(NetAddr),
-            Group(netsim::GroupId),
-        }
-        let now = self.now();
-        let (vc, dest, seq, sizes) = {
-            let mut st = self.state.borrow_mut();
-            let Some(e) = st.vcs.at_mut(h) else { return };
-            let v = &mut e.vc;
-            let vc = v.id;
-            let dest = match explicit_to {
-                Some(node) => Dest::Unicast(node),
-                None => match &v.group {
-                    Some(ge) => Dest::Group(ge.group),
-                    None => Dest::Unicast(v.peer_node),
-                },
-            };
-            let seq = osdu.seq();
-            let sizes = fragment_sizes(osdu.wire_size(), self.config.mtu);
-            let corrects = v.class.error_control.corrects();
-            let s = v.source.as_mut().expect("source end");
-            if !is_retrans {
-                s.charged += 1;
-                s.sent += 1;
-                if corrects {
-                    s.retrans_cache.push_back(osdu.clone());
-                    while s.retrans_cache.len() > s.retrans_cache_cap {
-                        s.retrans_cache.pop_front();
-                    }
-                }
-            }
-            (vc, dest, seq, sizes)
-        };
-        // First fresh transmission closes the send-buffer wait; every
-        // fragment (fresh or retransmitted) carries the trace tag so the
-        // completing copy's queue wait reaches the sink attribution.
-        let tracing = self.obs.enabled();
-        if tracing && !is_retrans {
-            self.obs.transmitted(vc.0, seq, now.as_micros());
-        }
-        // Branch on the destination once, not per fragment: the fragment
-        // loop below is the hottest transport send path, feeding netsim's
-        // zero-allocation flight events.
-        let count = sizes.len() as u32;
-        let make_tpdu = |i: usize, bytes: usize| {
-            let last = i as u32 + 1 == count;
-            DataTpdu {
-                vc,
-                osdu_seq: seq,
-                frag_index: i as u32,
-                frag_count: count,
-                frag_bytes: bytes,
-                opdu: osdu.opdu,
-                payload: last.then(|| osdu.payload.clone()),
-                osdu_sent_at: now,
-            }
-        };
-        match dest {
-            Dest::Unicast(node) => {
-                for (i, &bytes) in sizes.iter().enumerate() {
-                    let tpdu = make_tpdu(i, bytes);
-                    let wire = tpdu.wire_size();
-                    let mut pkt = Packet::data(self.node, node, vc, wire, now, WirePdu::Data(tpdu));
-                    if tracing {
-                        pkt.trace = Some(netsim::PacketTrace {
-                            stream: vc.0,
-                            seq,
-                            queued_us: 0,
-                        });
-                    }
-                    self.net.send(self.node, pkt);
-                }
-            }
-            Dest::Group(g) => {
-                for (i, &bytes) in sizes.iter().enumerate() {
-                    let tpdu = make_tpdu(i, bytes);
-                    let wire = tpdu.wire_size();
-                    let mut pkt = Packet::group(
-                        self.node,
-                        g,
-                        Some(vc),
-                        netsim::PacketClass::Data,
-                        wire,
-                        now,
-                        WirePdu::Data(tpdu),
-                    );
-                    if tracing {
-                        pkt.trace = Some(netsim::PacketTrace {
-                            stream: vc.0,
-                            seq,
-                            queued_us: 0,
-                        });
-                    }
-                    self.net.send_to_group(g, pkt);
-                }
-            }
-        }
-    }
-
-    fn on_credit(self: &Rc<Self>, from: NetAddr, vc: VcId, freed_total: u64) {
-        let Some(h) = self.state.borrow().vcs.resolve(vc) else {
-            return;
-        };
-        enum Act {
-            Group,
-            Nothing,
-            Resume(ProtocolProfile),
-        }
-        let act = {
-            let mut st = self.state.borrow_mut();
-            let Some(e) = st.vcs.at_mut(h) else { return };
-            if e.vc.group.is_some() {
-                Act::Group
-            } else {
-                let profile = e.vc.class.profile;
-                match e.vc.source.as_mut() {
-                    None => Act::Nothing,
-                    Some(s) => {
-                        s.freed_remote = s.freed_remote.max(freed_total);
-                        if s.stalled_credit && s.has_credit() {
-                            s.stalled_credit = false;
-                            if let Some(since) = s.stalled_at.take() {
-                                self.trace_resume(vc, since);
-                            }
-                            Act::Resume(profile)
-                        } else {
-                            Act::Nothing
-                        }
-                    }
-                }
-            }
-        };
-        match act {
-            Act::Group => self.on_group_credit(vc, from, freed_total),
-            Act::Nothing => {}
-            Act::Resume(ProtocolProfile::RateBasedCm) => self.source_tick_h(h),
-            Act::Resume(ProtocolProfile::WindowBased) => self.pump_window(vc),
-            Act::Resume(ProtocolProfile::Datagram) => {}
-        }
-    }
-
-    /// Per-receiver error control: retransmissions (and give-up notices
-    /// for cache-evicted sequences) go *unicast* to the requesting node,
-    /// so one lossy receiver never triggers a resend to the whole group.
-    fn on_nack(self: &Rc<Self>, from: NetAddr, vc: VcId, seqs: Vec<u64>) {
-        let mut to_resend = Vec::new();
-        let mut gone = Vec::new();
-        {
-            let st = self.state.borrow();
-            let Some(s) = st.vcs.get(&vc).and_then(|v| v.source.as_ref()) else {
-                return;
-            };
-            for seq in seqs {
-                match s.retrans_cache.iter().find(|o| o.seq() == seq) {
-                    Some(o) => to_resend.push(o.clone()),
-                    None => gone.push(seq),
-                }
-            }
-        }
-        // Each nacked sequence is a traced unit the network lost (or
-        // corrupted) on the way to `from`.
-        if self.obs.enabled() {
-            for _ in 0..to_resend.len() + gone.len() {
-                self.obs.net_drop(vc.0);
-            }
-        }
-        for osdu in to_resend {
-            self.transmit_osdu(vc, osdu, true, Some(from));
-        }
-        if !gone.is_empty() {
-            // Evicted from the cache: give up so the receiver can move on.
-            self.send_control(from, ControlMsg::Dropped { vc, seqs: gone });
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Window-based data path
-    // ------------------------------------------------------------------
-
-    /// Transmit as much as window + credit allow (window profile).
-    pub(crate) fn pump_window(self: &Rc<Self>, vc: VcId) {
-        let now = self.now();
-        loop {
-            enum Step {
-                SendFrag(u64, DataTpdu),
-                NeedOsdu,
-                Done,
-            }
-            let step = {
-                let mut st = self.state.borrow_mut();
-                let Some(v) = st.vcs.get_mut(&vc) else { return };
-                if v.phase != VcPhase::Open {
-                    return;
-                }
-                let peer = v.peer_node;
-                let _ = peer;
-                let s = v.source.as_mut().expect("source end");
-                let gbn = s.gbn.as_mut().expect("window sender");
-                if !gbn.can_send() {
-                    Step::Done
-                } else if let Some(tpdu) = s.pending_frags.pop_front() {
-                    let wseq = gbn.on_send(tpdu.clone(), now);
-                    Step::SendFrag(wseq, tpdu)
-                } else {
-                    Step::NeedOsdu
-                }
-            };
-            match step {
-                Step::Done => break,
-                Step::SendFrag(wseq, tpdu) => {
-                    self.send_window_frag(vc, wseq, tpdu);
-                }
-                Step::NeedOsdu => {
-                    // Pull the next OSDU, fragment it into pending_frags.
-                    enum Pull {
-                        Got,
-                        Park,
-                        Stall,
-                    }
-                    let mut newly_stalled = false;
-                    let pull = {
-                        let mut st = self.state.borrow_mut();
-                        let Some(v) = st.vcs.get_mut(&vc) else { return };
-                        let mtu = self.config.mtu;
-                        let s = v.source.as_mut().expect("source end");
-                        if !s.has_credit() {
-                            if !s.stalled_credit {
-                                s.stalled_at = Some(now);
-                                self.trace_stall(vc, now);
-                                newly_stalled = true;
-                            }
-                            s.stalled_credit = true;
-                            Pull::Stall
-                        } else {
-                            match s.send_buf.try_pop(now) {
-                                None => Pull::Park,
-                                Some(osdu) => {
-                                    let seq = osdu.seq();
-                                    let sizes = fragment_sizes(osdu.wire_size(), mtu);
-                                    let count = sizes.len() as u32;
-                                    for (i, bytes) in sizes.iter().enumerate() {
-                                        let last = i as u32 + 1 == count;
-                                        s.pending_frags.push_back(DataTpdu {
-                                            vc,
-                                            osdu_seq: seq,
-                                            frag_index: i as u32,
-                                            frag_count: count,
-                                            frag_bytes: *bytes,
-                                            opdu: osdu.opdu,
-                                            payload: last.then(|| osdu.payload.clone()),
-                                            osdu_sent_at: now,
-                                        });
-                                    }
-                                    s.charged += 1;
-                                    s.sent += 1;
-                                    // The OSDU left the send buffer: close
-                                    // its pacing/credit wait.
-                                    self.obs.transmitted(vc.0, seq, now.as_micros());
-                                    Pull::Got
-                                }
-                            }
-                        }
-                    };
-                    match pull {
-                        Pull::Got => continue,
-                        Pull::Stall => {
-                            if newly_stalled {
-                                self.heal_on_stall(vc);
-                            }
-                            break;
-                        }
-                        Pull::Park => {
-                            let (buf, already) = {
-                                let mut st = self.state.borrow_mut();
-                                let s = st
-                                    .vcs
-                                    .get_mut(&vc)
-                                    .and_then(|v| v.source.as_mut())
-                                    .expect("source end");
-                                let already = s.waiting_buffer;
-                                s.waiting_buffer = true;
-                                (s.send_buf.clone(), already)
-                            };
-                            if !already {
-                                let me = self.clone();
-                                buf.park_consumer(now, move || {
-                                    let me2 = me.clone();
-                                    me.net.engine().schedule_in(
-                                        cm_core::time::SimDuration::ZERO,
-                                        move |_| {
-                                            {
-                                                let mut st = me2.state.borrow_mut();
-                                                if let Some(s) = st
-                                                    .vcs
-                                                    .get_mut(&vc)
-                                                    .and_then(|v| v.source.as_mut())
-                                                {
-                                                    s.waiting_buffer = false;
-                                                }
-                                            }
-                                            me2.pump_window(vc);
-                                        },
-                                    );
-                                });
-                            }
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        self.arm_rto(vc);
-    }
-
-    fn send_window_frag(self: &Rc<Self>, vc: VcId, wseq: u64, tpdu: DataTpdu) {
-        let peer = {
-            let st = self.state.borrow();
-            match st.vcs.get(&vc) {
-                Some(v) => v.peer_node,
-                None => return,
-            }
-        };
-        let wire = tpdu.wire_size();
-        let now = self.now();
-        let seq = tpdu.osdu_seq;
-        let mut pkt = Packet::data(
-            self.node,
-            peer,
-            vc,
-            wire,
-            now,
-            WirePdu::WindowData { wseq, tpdu },
-        );
-        if self.obs.enabled() {
-            pkt.trace = Some(netsim::PacketTrace {
-                stream: vc.0,
-                seq,
-                queued_us: 0,
-            });
-        }
-        self.net.send(self.node, pkt);
-    }
-
-    fn arm_rto(self: &Rc<Self>, vc: VcId) {
-        let at = {
-            let st = self.state.borrow();
-            st.vcs
-                .get(&vc)
-                .and_then(|v| v.source.as_ref())
-                .and_then(|s| s.gbn.as_ref())
-                .and_then(|g| g.timeout_at())
-        };
-        let st = self.state.borrow();
-        if let Some(t) = st
-            .vcs
-            .get(&vc)
-            .and_then(|v| v.source.as_ref())
-            .and_then(|s| s.rto_timer.as_ref())
-        {
-            match at {
-                Some(at) => t.arm_at(at.max(self.now())),
-                None => t.disarm(),
-            }
-        }
-    }
-
-    /// A source newly stalled on exhausted receiver credit.
-    fn trace_stall(&self, vc: VcId, now: SimTime) {
-        if !self.tel.enabled() {
-            return;
-        }
-        self.tel.count("vc.credit.stall", 1);
-        self.tel
-            .instant(now, Layer::Transport, "vc.credit.stall", |e| {
-                e.u64("vc", vc.0);
-            });
-    }
-
-    /// Credit returned; the stall that began at `since` is over.
-    fn trace_resume(&self, vc: VcId, since: SimTime) {
-        if self.obs.enabled() {
-            let dur = self.now().saturating_since(since);
-            self.obs.stalled(vc.0, dur.as_micros());
-        }
-        if !self.tel.enabled() {
-            return;
-        }
-        let now = self.now();
-        let dur = now.saturating_since(since);
-        self.tel.record_duration("vc.credit.stall_us", dur);
-        self.tel
-            .span(since, dur, Layer::Transport, "vc.credit.stalled", |e| {
-                e.u64("vc", vc.0);
-            });
-    }
-
-    pub(crate) fn rto_fire_h(self: &Rc<Self>, h: SlabHandle) {
-        let now = self.now();
-        let (vc, resend, strikes) = {
-            let mut st = self.state.borrow_mut();
-            let Some(e) = st.vcs.at_mut(h) else { return };
-            let v = &mut e.vc;
-            if v.phase != VcPhase::Open {
-                return;
-            }
-            let vc = v.id;
-            let s = v.source.as_mut().expect("source end");
-            let gbn = s.gbn.as_mut().expect("window sender");
-            // wseqs of cached entries are base..next, in order.
-            let resend = gbn.check_timeout(now).map(|tpdus| (tpdus, gbn.base()));
-            // A timeout that actually retransmitted is a strike; enough of
-            // them in a row and the path itself is suspect (DESIGN.md §9).
-            let strikes = match &resend {
-                Some((tpdus, _)) if !tpdus.is_empty() => {
-                    s.rto_strikes += 1;
-                    s.rto_strikes
-                }
-                _ => 0,
-            };
-            (vc, resend, strikes)
-        };
-        if strikes == self.config.heal_rto_patience {
-            self.heal_kick(vc, crate::heal::HealReason::Rto);
-        }
-        if let Some((tpdus, base)) = resend {
-            if self.tel.enabled() && !tpdus.is_empty() {
-                self.tel.count("vc.rto", 1);
-                self.tel.instant(now, Layer::Transport, "vc.rto", |e| {
-                    e.u64("vc", vc.0)
-                        .u64("base", base)
-                        .u64("resent", tpdus.len() as u64);
-                });
-            }
-            for (i, tpdu) in tpdus.into_iter().enumerate() {
-                self.send_window_frag(vc, base + i as u64, tpdu);
-            }
-        }
-        self.arm_rto(vc);
-    }
-
-    fn on_ack(self: &Rc<Self>, vc: VcId, upto: u64) {
-        let now = self.now();
-        let slid = {
-            let mut st = self.state.borrow_mut();
-            let Some(s) = st.vcs.get_mut(&vc).and_then(|v| v.source.as_mut()) else {
-                return;
-            };
-            let slid = match s.gbn.as_mut() {
-                Some(g) => g.on_ack(upto, now),
-                None => false,
-            };
-            if slid {
-                // Window progress: the path works, clear the strikes.
-                s.rto_strikes = 0;
-            }
-            slid
-        };
-        if slid {
-            self.pump_window(vc);
-        } else {
-            self.arm_rto(vc);
-        }
-    }
-
-    fn on_window_data(self: &Rc<Self>, wseq: u64, tpdu: DataTpdu, corrupted: bool, queued_us: u64) {
-        let vc = tpdu.vc;
-        let Some(h) = self.state.borrow().vcs.resolve(vc) else {
-            return;
-        };
-        let now = self.now();
-        let (accept, ack, peer) = {
-            let mut st = self.state.borrow_mut();
-            let Some(e) = st.vcs.at_mut(h) else { return };
-            let peer = e.vc.peer_node;
-            let Some(k) = e.vc.sink.as_mut() else { return };
-            let g = k.gbn_recv.as_mut().expect("window receiver");
-            if corrupted {
-                // A damaged TPDU is treated as lost: dup-ack.
-                g.discarded += 1;
-                (false, g.expected(), peer)
-            } else {
-                let (a, ack) = g.on_tpdu_seq(wseq);
-                (a, ack, peer)
-            }
-        };
-        self.send_control(peer, ControlMsg::Ack { vc, upto: ack });
-        if accept {
-            self.feed_sink_h(h, tpdu, false, now, queued_us);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Sink-side common path
-    // ------------------------------------------------------------------
-
-    pub(crate) fn on_data(self: &Rc<Self>, tpdu: DataTpdu, corrupted: bool, queued_us: u64) {
-        // The one id→handle lookup of the receive path; everything below
-        // addresses the slab entry directly.
-        let Some(h) = self.state.borrow().vcs.resolve(tpdu.vc) else {
-            return;
-        };
-        let now = self.now();
-        self.feed_sink_h(h, tpdu, corrupted, now, queued_us);
-    }
-
-    /// Receive-path core: reassembly, monitor accounting, and the whole
-    /// same-tick delivery batch (buffer pushes, tap dispatches, NACKs,
-    /// loss indications, credit) under ONE state borrow. The per-action
-    /// path used to re-borrow and re-look-up the id 3–4 times per OSDU.
-    fn feed_sink_h(
-        self: &Rc<Self>,
-        h: SlabHandle,
-        tpdu: DataTpdu,
-        corrupted: bool,
-        now: SimTime,
-        queued_us: u64,
-    ) {
-        let final_frag = tpdu.frag_index + 1 == tpdu.frag_count;
-        let delay = now.saturating_since(tpdu.osdu_sent_at);
-        let wire_total = tpdu.frag_bytes; // summed via monitor per fragment
-        let mut guard = self.state.borrow_mut();
-        let st = &mut *guard;
-        let Some(e) = st.vcs.at_mut(h) else { return };
-        if e.vc.phase != VcPhase::Open {
-            return;
-        }
-        let Some(k) = e.vc.sink.as_mut() else { return };
-        let lost_before = k.engine.lost;
-        let corrupted_before = k.engine.corrupted;
-        let delivered_before = k.engine.delivered;
-        let actions = k.engine.on_tpdu(&tpdu, corrupted, now);
-        if let Some(m) = &mut k.monitor {
-            m.on_lost(k.engine.lost - lost_before);
-            for _ in 0..(k.engine.corrupted - corrupted_before) {
-                m.on_corrupted();
-            }
-            // Count a completed OSDU's delay once, at its final frag.
-            if final_frag && k.engine.delivered > delivered_before {
-                m.on_delivered(wire_total, delay);
-            } else if final_frag {
-                // Completed into the stash (reliable reorder) still
-                // counts as received for throughput purposes.
-                let stashed = k.engine.delivered == delivered_before
-                    && k.engine.lost == lost_before
-                    && k.engine.corrupted == corrupted_before;
-                if stashed {
-                    m.on_delivered(wire_total, delay);
-                }
-            }
-        }
-        if self.obs.enabled() && final_frag {
-            // A final fragment that completed reassembly — straight into
-            // delivery, or stashed behind a hole under repair. (A frag
-            // counted lost/corrupted completed nothing.)
-            let completed = k.engine.delivered > delivered_before
-                || (k.engine.delivered == delivered_before
-                    && k.engine.lost == lost_before
-                    && k.engine.corrupted == corrupted_before);
-            if completed {
-                self.obs.arrived(
-                    tpdu.vc.0,
-                    tpdu.osdu_seq,
-                    self.node.0 as u64,
-                    now.as_micros(),
-                    queued_us,
-                    tpdu.osdu_sent_at.as_micros(),
-                );
-            }
-        }
-        self.sink_actions_locked(st, h, actions, now);
-    }
-
-    /// Id-keyed wrapper: run sink-engine actions + credit refresh (the
-    /// `Dropped` control path resolves here).
-    fn apply_sink_actions(
-        self: &Rc<Self>,
-        vc: VcId,
-        actions: Vec<SinkAction>,
-        now: Option<SimTime>,
-    ) {
-        let Some(h) = self.state.borrow().vcs.resolve(vc) else {
-            return;
-        };
-        let now = now.unwrap_or_else(|| self.now());
-        let mut guard = self.state.borrow_mut();
-        self.sink_actions_locked(&mut guard, h, actions, now);
-    }
-
-    /// Process a batch of sink-engine actions and the follow-on credit
-    /// refresh against the entry behind `h`, under the caller's state
-    /// borrow. Every externally visible effect — tap/user callbacks
-    /// (zero-delay engine events), NACK and credit control sends, the
-    /// producer park — is issued inline in exactly the order the old
-    /// per-action path produced it; none of them touch entity state
-    /// synchronously, so issuing them under the borrow is safe and the
-    /// event schedule (and with it the telemetry byte stream) is
-    /// unchanged.
-    fn sink_actions_locked(
-        self: &Rc<Self>,
-        st: &mut State,
-        h: SlabHandle,
-        actions: Vec<SinkAction>,
-        now: SimTime,
-    ) {
-        let Some(e) = st.vcs.at_mut(h) else { return };
-        let vc = e.vc.id;
-        let peer = e.vc.peer_node;
-        let tsap = e.vc.local_tsap;
-        let tap = e.tap.clone();
-        let Some(k) = e.vc.sink.as_mut() else { return };
-        let mut park: Option<BufferHandle> = None;
-        for action in actions {
-            match action {
-                SinkAction::Deliver(osdu) => {
-                    let opdu = osdu.opdu;
-                    // The engine released the OSDU (ending any stash-behind-
-                    // a-hole wait): stamp it delivered for attribution.
-                    self.obs
-                        .sink_delivered(vc.0, osdu.seq(), self.node.0 as u64, now.as_micros());
-                    let pushed = if !k.pending_delivery.is_empty() {
-                        k.pending_delivery.push_back(osdu);
-                        false
-                    } else {
-                        match k.recv_buf.try_push(now, osdu) {
-                            PushOutcome::Pushed { .. } => true,
-                            PushOutcome::Full(osdu) => {
-                                k.pending_delivery.push_back(osdu);
-                                false
-                            }
-                        }
-                    };
-                    if pushed {
-                        if let Some(tap) = tap.clone() {
-                            self.dispatch_tap(tap, move |tap| tap.on_osdu_arrived(vc, opdu));
-                        }
-                    } else if !k.producer_parked {
-                        k.producer_parked = true;
-                        park = Some(k.recv_buf.clone());
-                    }
-                }
-                SinkAction::SendNack(seqs) => {
-                    self.send_control(peer, ControlMsg::Nack { vc, seqs });
-                }
-                SinkAction::IndicateLoss(seq) => {
-                    if let Some(user) = st.users.get(&tsap).cloned() {
-                        self.dispatch_user(user, move |svc, u| u.t_error_indication(svc, vc, seq));
-                    }
-                    if let Some(tap) = tap.clone() {
-                        self.dispatch_tap(tap, move |tap| tap.on_loss_indicated(vc, seq));
-                    }
-                }
-            }
-        }
-        let freed = k.freed_total();
-        if freed > k.last_freed_sent {
-            k.last_freed_sent = freed;
-            self.send_control(
-                peer,
-                ControlMsg::Credit {
-                    vc,
-                    freed_total: freed,
-                },
-            );
-        }
-        if let Some(buf) = park {
-            self.park_sink_producer_h(h, buf, now);
-        }
-    }
-
-    /// Park the protocol producer on a full receive buffer; the wake
-    /// trampolines through the engine into a pending-delivery drain.
-    /// Registration consumes no event sequence, so parking at the end of
-    /// a batch instead of mid-loop leaves the schedule untouched.
-    fn park_sink_producer_h(self: &Rc<Self>, h: SlabHandle, buf: BufferHandle, now: SimTime) {
-        let me = self.clone();
-        buf.park_producer(now, move || {
-            let me2 = me.clone();
-            me.net
-                .engine()
-                .schedule_in(cm_core::time::SimDuration::ZERO, move |_| {
-                    me2.drain_pending_delivery_h(h)
-                });
-        });
-    }
-
-    fn drain_pending_delivery_h(self: &Rc<Self>, h: SlabHandle) {
-        let now = self.now();
-        let mut guard = self.state.borrow_mut();
-        let st = &mut *guard;
-        self.drain_pending_locked(st, h, now);
-    }
-
-    /// Move stalled pending deliveries into freed receive-buffer slots,
-    /// dispatch their taps, and send any credit delta — one borrow for
-    /// the whole drain (the loop used to take three per OSDU).
-    fn drain_pending_locked(self: &Rc<Self>, st: &mut State, h: SlabHandle, now: SimTime) {
-        let Some(e) = st.vcs.at_mut(h) else { return };
-        let vc = e.vc.id;
-        let peer = e.vc.peer_node;
-        let tap = e.tap.clone();
-        let Some(k) = e.vc.sink.as_mut() else { return };
-        let mut park: Option<BufferHandle> = None;
-        k.producer_parked = false;
-        while let Some(osdu) = k.pending_delivery.pop_front() {
-            let opdu = osdu.opdu;
-            match k.recv_buf.try_push(now, osdu) {
-                PushOutcome::Pushed { .. } => {
-                    if let Some(tap) = tap.clone() {
-                        self.dispatch_tap(tap, move |tap| tap.on_osdu_arrived(vc, opdu));
-                    }
-                }
-                PushOutcome::Full(osdu) => {
-                    k.pending_delivery.push_front(osdu);
-                    k.producer_parked = true;
-                    park = Some(k.recv_buf.clone());
-                    break;
-                }
-            }
-        }
-        let freed = k.freed_total();
-        if freed > k.last_freed_sent {
-            k.last_freed_sent = freed;
-            self.send_control(
-                peer,
-                ControlMsg::Credit {
-                    vc,
-                    freed_total: freed,
-                },
-            );
-        }
-        if let Some(buf) = park {
-            self.park_sink_producer_h(h, buf, now);
-        }
-    }
-
-    /// Advertise newly freed receive slots to the sender.
-    pub(crate) fn maybe_send_credit(self: &Rc<Self>, vc: VcId) {
-        let msg = {
-            let mut st = self.state.borrow_mut();
-            let Some(v) = st.vcs.get_mut(&vc) else { return };
-            let peer = v.peer_node;
-            let Some(k) = v.sink.as_mut() else { return };
-            let freed = k.freed_total();
-            if freed > k.last_freed_sent {
-                k.last_freed_sent = freed;
-                Some((peer, freed))
-            } else {
-                None
-            }
-        };
-        if let Some((peer, freed)) = msg {
-            self.send_control(
-                peer,
-                ControlMsg::Credit {
-                    vc,
-                    freed_total: freed,
-                },
-            );
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // QoS monitoring
-    // ------------------------------------------------------------------
-
-    fn schedule_monitor_h(self: &Rc<Self>, h: SlabHandle) {
-        let st = self.state.borrow();
-        let Some(k) = st.vcs.at(h).and_then(|e| e.vc.sink.as_ref()) else {
-            return;
-        };
-        let Some(at) = k.monitor.as_ref().map(|m| m.period_end()) else {
-            return;
-        };
-        if let Some(t) = &k.monitor_timer {
-            t.arm_at(at);
-        }
-    }
-
-    fn monitor_fire_h(self: &Rc<Self>, h: SlabHandle) {
-        let now = self.now();
-        let report = {
-            let mut st = self.state.borrow_mut();
-            let Some(e) = st.vcs.at_mut(h) else { return };
-            let v = &mut e.vc;
-            if v.phase != VcPhase::Open {
-                return;
-            }
-            let vc = v.id;
-            let contract = v.contract;
-            let peer = v.peer_node;
-            let tsap = v.local_tsap;
-            let Some(k) = v.sink.as_mut() else { return };
-            let Some(m) = &mut k.monitor else { return };
-            let period = m.period();
-            let measured = m.end_period(now);
-            let violations = measured.violations_of(&contract);
-            if self.tel.enabled() {
-                // Every monitor period leaves one sample event (§4.1.2 QoS
-                // maintenance observes continuously, not only on violation).
-                self.tel.record("vc.jitter_us", measured.jitter.as_micros());
-                self.tel
-                    .record("vc.throughput_bps", measured.throughput.as_bps());
-                self.tel
-                    .instant(now, Layer::Transport, "vc.qos.sample", |e| {
-                        e.u64("vc", vc.0)
-                            .u64("throughput_bps", measured.throughput.as_bps())
-                            .u64("contract_bps", contract.throughput.as_bps())
-                            .u64("delay_us", measured.delay.as_micros())
-                            .u64("jitter_us", measured.jitter.as_micros())
-                            .f64("loss", measured.packet_error_rate.as_prob())
-                            .u64("violations", violations.len() as u64);
-                    });
-                if !violations.is_empty() {
-                    self.tel.count("vc.qos.violation", violations.len() as u64);
-                }
-            }
-            if violations.is_empty() {
-                None
-            } else {
-                Some((
-                    QosReport {
-                        vc,
-                        contracted: contract,
-                        measured,
-                        sample_period: period,
-                        violations,
-                    },
-                    peer,
-                    tsap,
-                ))
-            }
-        };
-        if let Some((report, peer, tsap)) = report {
-            // Indicate locally (sink user)...
-            let r2 = report.clone();
-            self.to_user(tsap, move |svc, u| u.t_qos_indication(svc, r2));
-            // ...and report to the source end (§4.1.2's initiator/source
-            // notification).
-            self.send_control(peer, ControlMsg::QosReportMsg(report));
-        }
-        self.schedule_monitor_h(h);
-    }
-
-    // ------------------------------------------------------------------
-    // Application data interface + orchestration hooks (via service)
-    // ------------------------------------------------------------------
-
-    /// Application-side OSDU write: assigns the next sequence number
-    /// (OPDU numbering starts at zero from first use of the connection,
-    /// §5) and pushes into the send buffer.
-    pub(crate) fn write_osdu(
-        self: &Rc<Self>,
-        vc: VcId,
-        payload: Payload,
-        event: Option<u64>,
-    ) -> Result<bool, ServiceError> {
-        let now = self.now();
-        let mut st = self.state.borrow_mut();
-        let h = st.vcs.resolve(vc).ok_or(ServiceError::UnknownVc)?;
-        let e = st.vcs.at_mut(h).ok_or(ServiceError::UnknownVc)?;
-        let egress = e.egress.clone();
-        let v = &mut e.vc;
-        if v.role != VcRole::Source {
-            return Err(ServiceError::WrongState("write on sink end"));
-        }
-        if v.phase != VcPhase::Open {
-            return Err(ServiceError::WrongState("write on non-open VC"));
-        }
-        if payload.len() > v.requirement.max_osdu_size {
-            return Err(ServiceError::BadArgument("OSDU exceeds max_osdu_size"));
-        }
-        let s = v.source.as_mut().expect("source end");
-        // Assign the sequence number only if there is room (a refused
-        // write must not burn a seq).
-        if s.send_buf.is_full() {
-            return Ok(false);
-        }
-        let seq = s.next_write_seq;
-        let mut osdu = Osdu::new(seq, payload);
-        osdu.opdu.event = event;
-        // Clone for the egress tap only when one is registered (payloads
-        // are tag+len synthetics or refcounted bytes — cheap either way).
-        let echo = egress.is_some().then(|| osdu.clone());
-        match s.send_buf.try_push(now, osdu) {
-            PushOutcome::Pushed { .. } => {
-                s.next_write_seq += 1;
-                // Mint the causal span: the budget clock starts when the
-                // OSDU enters the send buffer.
-                self.obs.mint(vc.0, seq, now.as_micros());
-                // Egress tap fires after the state borrow is released so
-                // it may call back into the service.
-                drop(st);
-                if let (Some(tap), Some(osdu)) = (egress, echo) {
-                    tap.on_osdu_written(vc, &osdu, now.as_micros());
-                }
-                Ok(true)
-            }
-            PushOutcome::Full(_) => Ok(false),
-        }
-    }
-
-    /// Application-side OSDU read from the receive buffer (respects the
-    /// orchestration gate). Sends credit for the freed slot.
-    pub(crate) fn read_osdu(self: &Rc<Self>, vc: VcId) -> Result<Option<Osdu>, ServiceError> {
-        let Some(h) = self.state.borrow().vcs.resolve(vc) else {
-            return Err(ServiceError::UnknownVc);
-        };
-        let now = self.now();
-        let mut guard = self.state.borrow_mut();
-        let st = &mut *guard;
-        let Some(e) = st.vcs.at_mut(h) else {
-            return Err(ServiceError::UnknownVc);
-        };
-        if e.vc.role != VcRole::Sink {
-            return Err(ServiceError::WrongState("read on source end"));
-        }
-        let peer = e.vc.peer_node;
-        let k = e.vc.sink.as_mut().expect("sink end");
-        let osdu = match k.recv_buf.try_pop(now) {
-            Some(o) => {
-                k.app_popped += 1;
-                // The span ends where the paper's service does: at the
-                // sink application's read.
-                self.obs
-                    .closed(vc.0, o.seq(), self.node.0 as u64, now.as_micros());
-                Some(o)
-            }
-            None => None,
-        };
-        if osdu.is_some() {
-            // Credit for the freed slot, then resume any stalled pending
-            // deliveries — one borrow for the pop + credit + drain batch.
-            let freed = k.freed_total();
-            if freed > k.last_freed_sent {
-                k.last_freed_sent = freed;
-                self.send_control(
-                    peer,
-                    ControlMsg::Credit {
-                        vc,
-                        freed_total: freed,
-                    },
-                );
-            }
-            self.drain_pending_locked(st, h, now);
-        }
-        Ok(osdu)
-    }
-
-    /// Harvest this end's interval statistics (blocking times mapped to
-    /// application/protocol according to the end's role, §6.3.1.2).
-    pub(crate) fn take_end_stats(self: &Rc<Self>, vc: VcId) -> Result<EndStats, ServiceError> {
-        let now = self.now();
-        let mut st = self.state.borrow_mut();
-        let v = st.vcs.get_mut(&vc).ok_or(ServiceError::UnknownVc)?;
-        match v.role {
-            VcRole::Source => {
-                let s = v.source.as_mut().expect("source end");
-                let b = s.send_buf.take_stats(now);
-                let dropped = s.dropped - s.dropped_snap;
-                s.dropped_snap = s.dropped;
-                Ok(EndStats {
-                    // At the source the application *produces* (blocked on
-                    // full buffer) and the protocol *consumes* (blocked on
-                    // empty buffer).
-                    app_blocked: b.producer_blocked,
-                    proto_blocked: b.consumer_blocked,
-                    seq_progress: s.charged,
-                    dropped,
-                    lost: 0,
-                    app_popped: 0,
-                })
-            }
-            VcRole::Sink => {
-                let k = v.sink.as_mut().expect("sink end");
-                let b = k.recv_buf.take_stats(now);
-                let lost = k.engine.lost - k.lost_snap;
-                k.lost_snap = k.engine.lost;
-                Ok(EndStats {
-                    // At the sink the protocol produces, the app consumes.
-                    // Flow control stalls the *sender* before the local
-                    // producer ever parks, so the honest "protocol blocked"
-                    // figure is the time the receive buffer sat full.
-                    app_blocked: b.consumer_blocked,
-                    proto_blocked: b.full_time.max(b.producer_blocked),
-                    // Table 6's OSDU# is what was *delivered to the sink
-                    // application thread* — buffered-but-unread units do
-                    // not count.
-                    seq_progress: k.app_popped + k.engine.internal_freed,
-                    dropped: 0,
-                    lost,
-                    app_popped: k.app_popped,
-                })
-            }
-        }
-    }
-}
-
-impl TransportEntity {
     // ------------------------------------------------------------------
     // TSAP binding and orchestration hooks
     // ------------------------------------------------------------------
@@ -2610,214 +1525,24 @@ impl TransportEntity {
     }
 
     /// Register the orchestration tap for a VC.
-    pub(crate) fn register_tap(&self, vc: VcId, tap: Rc<dyn VcTap>) -> Result<(), ServiceError> {
+    /// Set (or, with `None`, clear) the orchestration tap for a VC.
+    pub(crate) fn set_tap(&self, vc: VcId, tap: Option<Rc<dyn VcTap>>) -> Result<(), ServiceError> {
         let mut st = self.state.borrow_mut();
-        if !st.vcs.set_tap(vc, tap) {
-            return Err(ServiceError::UnknownVc);
-        }
+        let e = st.vcs.entry_mut(&vc).ok_or(ServiceError::UnknownVc)?;
+        e.tap = tap;
         Ok(())
     }
 
-    /// Remove the orchestration tap for a VC.
-    pub(crate) fn clear_tap(&self, vc: VcId) {
-        self.state.borrow_mut().vcs.clear_tap(&vc);
-    }
-
-    /// Register the source-side egress tap for a VC.
+    /// Set (or, with `None`, clear) the source-side egress tap for a VC.
     pub(crate) fn set_egress_tap(
         &self,
         vc: VcId,
-        tap: Rc<dyn EgressTap>,
+        tap: Option<Rc<dyn EgressTap>>,
     ) -> Result<(), ServiceError> {
         let mut st = self.state.borrow_mut();
-        if !st.vcs.set_egress(vc, tap) {
-            return Err(ServiceError::UnknownVc);
-        }
+        let e = st.vcs.entry_mut(&vc).ok_or(ServiceError::UnknownVc)?;
+        e.egress = tap;
         Ok(())
-    }
-
-    /// Remove the egress tap for a VC.
-    pub(crate) fn clear_egress_tap(&self, vc: VcId) {
-        self.state.borrow_mut().vcs.clear_egress(&vc);
-    }
-
-    /// Send an opaque control payload to the VC's peer LLO (§5's OPDU
-    /// channel).
-    pub(crate) fn send_vc_control(
-        self: &Rc<Self>,
-        vc: VcId,
-        payload: Rc<dyn Any>,
-    ) -> Result<(), ServiceError> {
-        {
-            let st = self.state.borrow();
-            st.vcs
-                .get(&vc)
-                .filter(|v| v.phase == VcPhase::Open)
-                .ok_or(ServiceError::UnknownVc)?;
-        }
-        // On a group VC this fans the OPDU out to every member over the
-        // shared tree — the session layer's room-wide control channel.
-        self.send_source_feedback(vc, ControlMsg::UserControl { vc, payload });
-        Ok(())
-    }
-
-    /// Freeze the source's transmission instantly (Orch.Stop, §6.2.3).
-    pub(crate) fn pause_source(self: &Rc<Self>, vc: VcId) -> Result<(), ServiceError> {
-        let mut st = self.state.borrow_mut();
-        let s = st
-            .vcs
-            .get_mut(&vc)
-            .and_then(|v| v.source.as_mut())
-            .ok_or(ServiceError::UnknownVc)?;
-        s.clock.pause();
-        if let Some(t) = &s.tick_timer {
-            t.disarm();
-        }
-        Ok(())
-    }
-
-    /// Resume a paused source (Orch.Start, §6.2.2).
-    pub(crate) fn resume_source(self: &Rc<Self>, vc: VcId) -> Result<(), ServiceError> {
-        let now = self.local_now();
-        {
-            let mut st = self.state.borrow_mut();
-            let s = st
-                .vcs
-                .get_mut(&vc)
-                .and_then(|v| v.source.as_mut())
-                .ok_or(ServiceError::UnknownVc)?;
-            s.clock.resume(now);
-        }
-        self.ensure_tick_now(vc);
-        Ok(())
-    }
-
-    /// Retune the source's pacing rate to `base × num/den` (the LLO's
-    /// fine-grained regulation, §6.3.1).
-    pub(crate) fn set_rate_factor(
-        self: &Rc<Self>,
-        vc: VcId,
-        num: u64,
-        den: u64,
-    ) -> Result<(), ServiceError> {
-        if num == 0 || den == 0 {
-            return Err(ServiceError::BadArgument("zero rate factor"));
-        }
-        let now = self.local_now();
-        {
-            let mut st = self.state.borrow_mut();
-            let s = st
-                .vcs
-                .get_mut(&vc)
-                .and_then(|v| v.source.as_mut())
-                .ok_or(ServiceError::UnknownVc)?;
-            s.clock.set_factor(num, den, now);
-        }
-        self.ensure_tick_now(vc);
-        Ok(())
-    }
-
-    /// Discard the oldest unsent OSDU at the source "by incrementing the
-    /// source shared buffer pointer" (§6.3.1.1). The receiver is notified
-    /// so the gap is not treated as loss. Returns whether anything was
-    /// dropped.
-    pub(crate) fn source_drop_one(self: &Rc<Self>, vc: VcId) -> Result<bool, ServiceError> {
-        let now = self.now();
-        let dropped = {
-            let mut st = self.state.borrow_mut();
-            let v = st.vcs.get_mut(&vc).ok_or(ServiceError::UnknownVc)?;
-            let s = v
-                .source
-                .as_mut()
-                .ok_or(ServiceError::WrongState("drop on sink end"))?;
-            match s.send_buf.try_pop(now) {
-                Some(osdu) => {
-                    s.charged += 1;
-                    s.dropped += 1;
-                    Some(osdu.seq())
-                }
-                None => None,
-            }
-        };
-        match dropped {
-            Some(seq) => {
-                self.send_source_feedback(
-                    vc,
-                    ControlMsg::Dropped {
-                        vc,
-                        seqs: vec![seq],
-                    },
-                );
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
-    /// Open or close the receive-delivery gate (Orch.Prime holds data in
-    /// the buffers without releasing it, §6.2.1).
-    pub(crate) fn set_recv_gate(
-        self: &Rc<Self>,
-        vc: VcId,
-        gated: bool,
-    ) -> Result<(), ServiceError> {
-        let now = self.now();
-        let st = self.state.borrow();
-        let k = st
-            .vcs
-            .get(&vc)
-            .and_then(|v| v.sink.as_ref())
-            .ok_or(ServiceError::UnknownVc)?;
-        k.recv_buf.set_gated(now, gated);
-        Ok(())
-    }
-
-    /// Flush this end's buffer (stop + seek, §6.2.1). At the source the
-    /// flushed OSDUs are declared dropped so the receiver does not count
-    /// them lost; at the sink the freed slots are credited back.
-    pub(crate) fn flush_local(self: &Rc<Self>, vc: VcId) -> Result<usize, ServiceError> {
-        let now = self.now();
-        enum Which {
-            Src { first: u64, n: usize },
-            Snk { n: usize },
-        }
-        let which = {
-            let mut st = self.state.borrow_mut();
-            let v = st.vcs.get_mut(&vc).ok_or(ServiceError::UnknownVc)?;
-            match v.role {
-                VcRole::Source => {
-                    let s = v.source.as_mut().expect("source end");
-                    let n = s.send_buf.flush(now);
-                    // FIFO + sequential assignment ⇒ the flushed units were
-                    // exactly seqs charged..charged+n.
-                    let first = s.charged;
-                    s.charged += n as u64;
-                    s.dropped += n as u64;
-                    Which::Src { first, n }
-                }
-                VcRole::Sink => {
-                    let k = v.sink.as_mut().expect("sink end");
-                    let n = k.recv_buf.flush(now) + k.pending_delivery.len();
-                    k.pending_delivery.clear();
-                    // Freed without application delivery.
-                    k.app_popped += n as u64;
-                    Which::Snk { n }
-                }
-            }
-        };
-        match which {
-            Which::Src { first, n } => {
-                if n > 0 {
-                    let seqs: Vec<u64> = (first..first + n as u64).collect();
-                    self.send_source_feedback(vc, ControlMsg::Dropped { vc, seqs });
-                }
-                Ok(n)
-            }
-            Which::Snk { n } => {
-                self.maybe_send_credit(vc);
-                Ok(n)
-            }
-        }
     }
 }
 
@@ -2826,5 +1551,34 @@ impl Vc {
     /// the local user's response.
     pub(crate) fn pending_renegotiation(&mut self) -> &mut Option<QosTolerance> {
         &mut self.pending_reneg
+    }
+}
+
+impl Indication {
+    /// Call the user method this indication stands for.
+    fn deliver(self, svc: &TransportService, u: &dyn TransportUser) {
+        match self {
+            Indication::Connect(vc, triple, class, qos) => {
+                u.t_connect_indication(svc, vc, triple, class, qos)
+            }
+            Indication::ConnectConfirm(vc, result) => u.t_connect_confirm(svc, vc, result),
+            Indication::Disconnect(vc, reason) => u.t_disconnect_indication(svc, vc, reason),
+            Indication::Qos(report) => u.t_qos_indication(svc, report),
+            Indication::Renegotiate(vc, tolerance) => {
+                u.t_renegotiate_indication(svc, vc, tolerance)
+            }
+            Indication::RenegotiateConfirm(vc, qos) => u.t_renegotiate_confirm(svc, vc, qos),
+            Indication::Error(vc, seq) => u.t_error_indication(svc, vc, seq),
+            Indication::Datagram(from, payload) => u.t_datagram_indication(svc, from, payload),
+            Indication::GroupJoinConfirm(vc, member, result) => {
+                u.t_group_join_confirm(svc, vc, member, result)
+            }
+            Indication::GroupLeave(vc, member, reason) => {
+                u.t_group_leave_indication(svc, vc, member, reason)
+            }
+            Indication::GroupQos(vc, member, report) => {
+                u.t_group_qos_indication(svc, vc, member, report)
+            }
+        }
     }
 }

@@ -21,6 +21,7 @@
 //! branch never re-multicasts to the whole group. Credit is likewise
 //! tracked per receiver; the sender paces against the slowest member.
 
+use crate::datapath::Indication;
 use crate::entity::TransportEntity;
 use crate::tpdu::ControlMsg;
 use crate::vc::{SourceEnd, Vc, VcPhase, VcRole};
@@ -108,30 +109,15 @@ impl TransportEntity {
             tsap,
         };
         let slots = self.buffer_slots(&requirement);
-        let mut clock = crate::rate::RateClock::new(requirement.osdu_rate);
-        clock.start(self.local_now());
-        let source = SourceEnd {
-            send_buf: crate::buffer::BufferHandle::new(slots),
-            clock,
-            gbn: None,
-            pending_frags: std::collections::VecDeque::new(),
-            next_write_seq: 0,
-            charged: 0,
-            freed_remote: 0,
-            // No receivers yet: credit never gates; recomputed per join.
-            recv_capacity: u64::MAX,
-            dropped: 0,
-            sent: 0,
-            retrans_cache: std::collections::VecDeque::new(),
-            retrans_cache_cap: slots * 4,
-            tick_timer: None,
-            rto_timer: None,
-            waiting_buffer: false,
-            stalled_credit: false,
-            stalled_at: None,
-            rto_strikes: 0,
-            dropped_snap: 0,
-        };
+        // No receivers yet: credit never gates; recomputed per join.
+        let source = SourceEnd::new(
+            slots,
+            requirement.osdu_rate,
+            self.local_now(),
+            None,
+            u64::MAX,
+            slots * 4,
+        );
         let v = Vc {
             id: vc,
             triple: AddressTriple {
@@ -167,8 +153,7 @@ impl TransportEntity {
             );
         }
         let h = self.state.borrow_mut().vcs.insert(vc, v);
-        self.attach_source_timers(h);
-        self.ensure_tick_now(vc);
+        self.open_entry(h);
         Ok(vc)
     }
 
@@ -204,9 +189,10 @@ impl TransportEntity {
             (ge.group, v.class, v.requirement, v.local_tsap, s.charged)
         };
         let deny = |reason: DisconnectReason| {
-            self.to_user(local_tsap, move |svc, u| {
-                u.t_group_join_confirm(svc, vc, to, Err(reason))
-            });
+            self.indicate(
+                local_tsap,
+                Indication::GroupJoinConfirm(vc, to, Err(reason)),
+            );
         };
         // Per-receiver negotiation against this member's branch of the
         // shared tree (§3.2 heterogeneous tolerance levels).
@@ -302,16 +288,18 @@ impl TransportEntity {
                     }
                 }
                 self.recompute_group(vc);
-                self.to_user(local_tsap, move |svc, u| {
-                    u.t_group_join_confirm(svc, vc, member, Ok(agreed))
-                });
+                self.indicate(
+                    local_tsap,
+                    Indication::GroupJoinConfirm(vc, member, Ok(agreed)),
+                );
             }
             Err(reason) => {
                 // Roll the branch reservation back.
                 self.net.group_leave(group, member.node);
-                self.to_user(local_tsap, move |svc, u| {
-                    u.t_group_join_confirm(svc, vc, member, Err(reason))
-                });
+                self.indicate(
+                    local_tsap,
+                    Indication::GroupJoinConfirm(vc, member, Err(reason)),
+                );
             }
         }
     }
@@ -339,9 +327,7 @@ impl TransportEntity {
         let Some(addr) = gone else { return };
         self.net.group_leave(group, member);
         self.recompute_group(vc);
-        self.to_user(local_tsap, move |svc, u| {
-            u.t_group_leave_indication(svc, vc, addr, reason)
-        });
+        self.indicate(local_tsap, Indication::GroupLeave(vc, addr, reason));
     }
 
     /// Sender-initiated removal of a member.
@@ -408,101 +394,9 @@ impl TransportEntity {
         Ok(())
     }
 
-    /// A per-receiver credit report arrived: update the member, then
-    /// re-derive the slowest-member pacing floor.
-    pub(crate) fn on_group_credit(self: &Rc<Self>, vc: VcId, from: NetAddr, freed_total: u64) {
-        {
-            let mut st = self.state.borrow_mut();
-            let Some(r) = st
-                .vcs
-                .get_mut(&vc)
-                .and_then(|v| v.group.as_mut())
-                .and_then(|ge| ge.receivers.get_mut(&from))
-            else {
-                return;
-            };
-            r.freed = r.freed.max(freed_total);
-        }
-        self.recompute_group(vc);
-    }
-
     /// Re-derive the group-wide contract, credit line and pacing factor
-    /// from the current receiver set:
-    ///
-    /// - contract = the preferred level weakened to every member's
-    ///   contract (the slowest acceptable level in force, §3.2);
-    /// - credit = the slowest member's window (conservative: smallest
-    ///   capacity, smallest cumulative freed);
-    /// - pacing = base rate × contracted/preferred throughput.
+    /// from the current receiver set (the data path's regroup input).
     pub(crate) fn recompute_group(self: &Rc<Self>, vc: VcId) {
-        let local = self.local_now();
-        let resume = {
-            let mut st = self.state.borrow_mut();
-            let Some(v) = st.vcs.get_mut(&vc) else { return };
-            if v.phase != VcPhase::Open {
-                return;
-            }
-            let preferred = v.requirement.tolerance.preferred;
-            let Some(ge) = v.group.as_ref() else { return };
-            let contract = ge
-                .receivers
-                .values()
-                .fold(preferred, |acc, r| acc.weaken_to(&r.contract));
-            let credit = if ge.receivers.is_empty() {
-                None
-            } else {
-                Some((
-                    ge.receivers
-                        .values()
-                        .map(|r| r.base_charged + r.freed)
-                        .min()
-                        .expect("non-empty"),
-                    ge.receivers
-                        .values()
-                        .map(|r| r.capacity)
-                        .min()
-                        .expect("non-empty"),
-                ))
-            };
-            v.contract = contract;
-            // The audited deadline follows the contract in force: joins
-            // may weaken it, leaves restore it.
-            if self.obs.enabled() {
-                self.obs.set_contract(
-                    vc.0,
-                    contract.delay.as_micros(),
-                    contract.packet_error_rate.as_ppb() / 1_000,
-                );
-            }
-            let s = v.source.as_mut().expect("group source end");
-            match credit {
-                Some((freed, cap)) => {
-                    s.freed_remote = freed;
-                    s.recv_capacity = cap;
-                }
-                None => {
-                    s.freed_remote = s.charged;
-                    s.recv_capacity = u64::MAX;
-                }
-            }
-            let num = contract.throughput.as_bps();
-            let den = preferred.throughput.as_bps();
-            if num > 0 && den > 0 {
-                s.clock.set_factor(num.min(den), den, local);
-            } else {
-                s.clock.set_factor(1, 1, local);
-            }
-            if s.stalled_credit && s.has_credit() {
-                s.stalled_credit = false;
-                true
-            } else {
-                false
-            }
-        };
-        if resume {
-            self.source_tick(vc);
-        } else {
-            self.ensure_tick_now(vc);
-        }
+        self.drive(vc, |e, cx, ob| e.vc.regroup(cx, ob));
     }
 }

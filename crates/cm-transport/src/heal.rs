@@ -45,12 +45,11 @@
 //! between two probes, taking the sink's last `Credit` report with it,
 //! is not detected — bounded by `heal_patience`.)
 
+use crate::datapath::Indication;
 use crate::entity::TransportEntity;
-use crate::tpdu::ControlMsg;
 use crate::vc::VcPhase;
 use cm_core::address::{NetAddr, VcId};
 use cm_core::error::DisconnectReason;
-use cm_core::osdu::Osdu;
 use cm_core::qos::GuaranteeMode;
 use cm_core::time::{Bandwidth, SimTime};
 use cm_telemetry::Layer;
@@ -127,27 +126,27 @@ impl TransportEntity {
                 return;
             }
         }
-        if !self.state.borrow().vcs.has_heal(&vc) {
+        if self.state.borrow().vcs.heal(&vc).is_none() {
             let weak = Rc::downgrade(self);
             let timer = PeriodicTimer::new(self.net.engine(), move |_| {
                 if let Some(me) = weak.upgrade() {
                     me.heal_fire(vc);
                 }
             });
-            self.state.borrow_mut().vcs.set_heal(
-                vc,
-                HealState {
-                    timer,
-                    active: false,
-                    reason,
-                    saw_fault: false,
-                    since: now,
-                    tries: 0,
-                    backoff: self.config.heal_patience,
-                    attempts: 0,
-                    repairs: 0,
-                },
-            );
+            let hs = HealState {
+                timer,
+                active: false,
+                reason,
+                saw_fault: false,
+                since: now,
+                tries: 0,
+                backoff: self.config.heal_patience,
+                attempts: 0,
+                repairs: 0,
+            };
+            if let Some(e) = self.state.borrow_mut().vcs.entry_mut(&vc) {
+                e.heal = Some(hs);
+            }
         }
         let patience = self.config.heal_patience;
         let mut st = self.state.borrow_mut();
@@ -161,12 +160,6 @@ impl TransportEntity {
             hs.backoff = patience;
             hs.timer.arm_at(now + patience);
         }
-    }
-
-    /// A source newly stalled on exhausted credit (called from the data
-    /// path at the stall transition).
-    pub(crate) fn heal_on_stall(self: &Rc<Self>, vc: VcId) {
-        self.heal_kick(vc, HealReason::Stall);
     }
 
     /// Lifetime `(attempts, repairs)` counters for `vc`'s healing state.
@@ -235,7 +228,9 @@ impl TransportEntity {
         };
         match probe {
             Probe::Gone => {
-                self.state.borrow_mut().vcs.remove_heal(&vc);
+                if let Some(e) = self.state.borrow_mut().vcs.entry_mut(&vc) {
+                    e.heal = None;
+                }
             }
             Probe::Unicast {
                 peer,
@@ -357,9 +352,10 @@ impl TransportEntity {
                 (gone, tsap)
             };
             if let Some(addr) = gone {
-                self.to_user(tsap, move |svc, u| {
-                    u.t_group_leave_indication(svc, vc, addr, DisconnectReason::Unreachable)
-                });
+                self.indicate(
+                    tsap,
+                    Indication::GroupLeave(vc, addr, DisconnectReason::Unreachable),
+                );
             }
         }
         if lost > 0 {
@@ -528,75 +524,19 @@ impl TransportEntity {
     // ------------------------------------------------------------------
 
     /// Clear a credit wedge on a rate-profile source whose in-flight
-    /// OSDUs died with the old path: retransmit the cached suffix,
-    /// declare the uncached prefix dropped, and ask the sink to
-    /// re-advertise its cumulative credit. Every step is idempotent at
-    /// the sink (duplicate data, repeated drop notices and repeated
-    /// credit reports are all absorbed), so repeated unsticks are safe.
-    /// Returns whether anything was sent.
+    /// OSDUs died with the old path (the data path's unstick input:
+    /// retransmit the cached suffix, declare the uncached prefix dropped,
+    /// probe the sink's credit). Every step is idempotent at the sink
+    /// (duplicate data, repeated drop notices and repeated credit reports
+    /// are all absorbed), so repeated unsticks are safe. Returns whether
+    /// anything was sent.
     fn unstick_source(self: &Rc<Self>, vc: VcId) -> bool {
-        let plan = {
-            let st = self.state.borrow();
-            let Some(v) = st.vcs.get(&vc) else {
-                return false;
-            };
-            if v.phase != VcPhase::Open {
-                return false;
-            }
-            let Some(s) = v.source.as_ref() else {
-                return false;
-            };
-            // The window profile recovers through go-back-N itself.
-            if !s.stalled_credit || s.gbn.is_some() {
-                return false;
-            }
-            let resend: Vec<Osdu> = s
-                .retrans_cache
-                .iter()
-                .filter(|o| o.seq() >= s.freed_remote)
-                .cloned()
-                .collect();
-            // FIFO cache with ascending seqs: everything below the first
-            // cached survivor is unrecoverable — declare it dropped so the
-            // sink frees the slots instead of waiting forever.
-            let cover_from = resend.first().map(|o| o.seq()).unwrap_or(s.charged);
-            let dropped: Vec<u64> = (s.freed_remote..cover_from).collect();
-            (resend, dropped)
-        };
-        let (resend, dropped) = plan;
-        for osdu in resend {
-            self.transmit_osdu(vc, osdu, true, None);
-        }
-        if !dropped.is_empty() {
-            self.send_source_feedback(vc, ControlMsg::Dropped { vc, seqs: dropped });
-        }
-        self.send_source_feedback(vc, ControlMsg::CreditProbe { vc });
-        if self.tel.enabled() {
+        let unstuck = self
+            .drive(vc, |e, cx, ob| e.vc.unstick(cx, ob))
+            .unwrap_or(false);
+        if unstuck && self.tel.enabled() {
             self.tel.count("vc.heal.unstick", 1);
         }
-        true
-    }
-
-    /// Sink side of [`ControlMsg::CreditProbe`]: re-advertise the
-    /// cumulative freed total unconditionally (the delta gate in
-    /// `maybe_send_credit` would swallow a repeat of a lost report).
-    pub(crate) fn force_send_credit(self: &Rc<Self>, vc: VcId) {
-        let msg = {
-            let mut st = self.state.borrow_mut();
-            let Some(v) = st.vcs.get_mut(&vc) else { return };
-            let peer = v.peer_node;
-            let Some(k) = v.sink.as_mut() else { return };
-            let freed = k.freed_total();
-            k.last_freed_sent = k.last_freed_sent.max(freed);
-            (peer, freed)
-        };
-        let (peer, freed) = msg;
-        self.send_control(
-            peer,
-            ControlMsg::Credit {
-                vc,
-                freed_total: freed,
-            },
-        );
+        unstuck
     }
 }

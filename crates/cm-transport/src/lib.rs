@@ -16,6 +16,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod buffer;
+mod datapath;
 pub mod entity;
 pub mod group;
 pub mod heal;

@@ -1,9 +1,11 @@
 //! Sink-side protocol engine: reassembly, ordering, loss accounting and
 //! error control.
 //!
-//! Pure logic, driven by the transport entity: every incoming data TPDU is
-//! folded into the engine, which emits a list of [`SinkAction`]s (deliver,
-//! nack, indicate). Behaviour per error-control class (§3.4):
+//! Pure logic, driven by the sink end of the data path: every incoming
+//! data TPDU is folded into the engine, which appends [`SinkAction`]s
+//! (deliver, nack, indicate) to the caller's buffer and reports what the
+//! TPDU did to its OSDU as an [`Arrival`]. Behaviour per error-control
+//! class (§3.4):
 //!
 //! - **detect + indicate**: damaged/missing OSDUs are counted, freed and
 //!   reported; the stream keeps flowing (media tolerate loss, §3.2);
@@ -32,13 +34,31 @@ pub enum SinkAction {
     IndicateLoss(u64),
 }
 
+/// What one data TPDU did to its OSDU. The QoS monitor and the causal
+/// tracer count an OSDU when its final fragment lands — once, and never
+/// for a late duplicate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arrival {
+    /// A non-final fragment was absorbed into reassembly.
+    Fragment,
+    /// The final fragment completed the OSDU and it was released in order.
+    Delivered,
+    /// The final fragment completed the OSDU into the stash behind a hole
+    /// under repair.
+    Stashed,
+    /// The final fragment closed the OSDU without delivering it: damaged,
+    /// incomplete or malformed (counted lost, or left as a hole to repair).
+    Resolved,
+    /// A late copy of an OSDU already resolved: ignored.
+    Duplicate,
+}
+
 #[derive(Debug)]
 struct Partial {
     seq: u64,
     frags_received: u32,
     frag_count: u32,
     corrupted: bool,
-    first_sent_at: SimTime,
 }
 
 /// Sink protocol engine for one VC.
@@ -124,16 +144,22 @@ impl SinkEngine {
     }
 
     /// Feed one data TPDU; `corrupted` is the carrying packet's bit-error
-    /// flag (the simulation's stand-in for a failed checksum). Returns the
-    /// actions to perform, in order.
-    pub fn on_tpdu(&mut self, tpdu: &DataTpdu, corrupted: bool, now: SimTime) -> Vec<SinkAction> {
-        let mut actions = Vec::new();
+    /// flag (the simulation's stand-in for a failed checksum). Appends the
+    /// actions to perform, in order, to `actions` and reports what the
+    /// TPDU did to its OSDU.
+    pub fn on_tpdu(
+        &mut self,
+        tpdu: &DataTpdu,
+        corrupted: bool,
+        now: SimTime,
+        actions: &mut Vec<SinkAction>,
+    ) -> Arrival {
         let seq = tpdu.osdu_seq;
 
         // Stale duplicate (late retransmission of something already
         // resolved): ignore.
         if seq < self.next_expected && !self.holes.contains(&seq) {
-            return actions;
+            return Arrival::Duplicate;
         }
 
         // A fragment of a different OSDU than the current partial means the
@@ -142,7 +168,7 @@ impl SinkEngine {
             if p.seq != seq {
                 let dead = p.seq;
                 self.partial = None;
-                self.resolve_missing(dead, &mut actions);
+                self.resolve_missing(dead, actions);
             }
         }
 
@@ -151,7 +177,7 @@ impl SinkEngine {
         if forward {
             let from = self.highest_seen.map_or(0, |h| h + 1);
             for missing in from..seq {
-                self.resolve_missing(missing, &mut actions);
+                self.resolve_missing(missing, actions);
             }
             self.highest_seen = Some(seq);
         }
@@ -161,15 +187,15 @@ impl SinkEngine {
             frags_received: 0,
             frag_count: tpdu.frag_count,
             corrupted: false,
-            first_sent_at: tpdu.osdu_sent_at,
         });
         p.frags_received += 1;
         p.corrupted |= corrupted;
+        let mut arrival = Arrival::Fragment;
         if tpdu.frag_index + 1 == tpdu.frag_count {
             let complete = p.frags_received == p.frag_count;
             let corrupted = p.corrupted;
-            let sent_at = p.first_sent_at;
             self.partial = None;
+            arrival = Arrival::Resolved;
             if complete && !corrupted {
                 if let Some(payload) = tpdu.payload.clone() {
                     let mut osdu = Osdu {
@@ -177,17 +203,16 @@ impl SinkEngine {
                         payload,
                     };
                     osdu.opdu.seq = seq;
-                    let _ = sent_at;
-                    self.accept_complete(seq, osdu, &mut actions);
+                    arrival = self.accept_complete(seq, osdu, actions);
                 } else {
                     // Final fragment without payload is a malformed TPDU.
-                    self.resolve_missing(seq, &mut actions);
+                    self.resolve_missing(seq, actions);
                 }
             } else {
                 if corrupted {
                     self.corrupted += 1;
                 }
-                self.resolve_missing(seq, &mut actions);
+                self.resolve_missing(seq, actions);
             }
         }
 
@@ -215,13 +240,13 @@ impl SinkEngine {
         } else {
             self.fresh_holes.clear();
         }
-        actions
+        arrival
     }
 
     /// The source declared these sequences intentionally dropped
     /// (`ControlMsg::Dropped`): free them without loss accounting or nacks.
-    pub fn on_drop_notice(&mut self, seqs: &[u64], _now: SimTime) -> Vec<SinkAction> {
-        let mut actions = Vec::new();
+    /// Deliveries the notice unblocks are appended to `actions`.
+    pub fn on_drop_notice(&mut self, seqs: &[u64], _now: SimTime, actions: &mut Vec<SinkAction>) {
         for &s in seqs {
             if s < self.next_expected {
                 continue;
@@ -231,7 +256,7 @@ impl SinkEngine {
                 self.internal_freed += 1;
                 if s == self.next_expected {
                     self.next_expected += 1;
-                    self.drain_stash(&mut actions);
+                    self.drain_stash(actions);
                 } else {
                     self.resolved_gaps.insert(s);
                 }
@@ -243,8 +268,7 @@ impl SinkEngine {
         }
         // Drop notices at the in-order point advance it immediately (a
         // stopped stream must not leave the head parked on a dropped seq).
-        self.drain_stash(&mut actions);
-        actions
+        self.drain_stash(actions);
     }
 
     fn resolve_missing(&mut self, seq: u64, actions: &mut Vec<SinkAction>) {
@@ -282,7 +306,7 @@ impl SinkEngine {
         }
     }
 
-    fn accept_complete(&mut self, seq: u64, osdu: Osdu, actions: &mut Vec<SinkAction>) {
+    fn accept_complete(&mut self, seq: u64, osdu: Osdu, actions: &mut Vec<SinkAction>) -> Arrival {
         self.holes.remove(&seq);
         if seq == self.next_expected {
             self.next_expected += 1;
@@ -291,6 +315,7 @@ impl SinkEngine {
             self.drain_stash(actions);
         } else if self.class.corrects() {
             self.stash.insert(seq, osdu);
+            return Arrival::Stashed;
         } else {
             // Unreliable: earlier gaps were already freed by
             // `resolve_missing`, so this must now be the in-order point.
@@ -299,6 +324,7 @@ impl SinkEngine {
             self.delivered += 1;
             actions.push(SinkAction::Deliver(osdu));
         }
+        Arrival::Delivered
     }
 
     fn drain_stash(&mut self, actions: &mut Vec<SinkAction>) {
@@ -348,6 +374,18 @@ mod tests {
         }
     }
 
+    fn feed(e: &mut SinkEngine, t: DataTpdu, corrupted: bool, now: SimTime) -> Vec<SinkAction> {
+        let mut actions = Vec::new();
+        e.on_tpdu(&t, corrupted, now, &mut actions);
+        actions
+    }
+
+    fn notice(e: &mut SinkEngine, seqs: &[u64], now: SimTime) -> Vec<SinkAction> {
+        let mut actions = Vec::new();
+        e.on_drop_notice(seqs, now, &mut actions);
+        actions
+    }
+
     fn deliver_seqs(actions: &[SinkAction]) -> Vec<u64> {
         actions
             .iter()
@@ -362,7 +400,7 @@ mod tests {
     fn in_order_single_fragment_delivery() {
         let mut e = SinkEngine::new(ErrorControlClass::DetectIndicate);
         for seq in 0..5 {
-            let a = e.on_tpdu(&tpdu(seq, 0, 1), false, SimTime::ZERO);
+            let a = feed(&mut e, tpdu(seq, 0, 1), false, SimTime::ZERO);
             assert_eq!(deliver_seqs(&a), vec![seq]);
         }
         assert_eq!(e.delivered, 5);
@@ -372,18 +410,18 @@ mod tests {
     #[test]
     fn multi_fragment_reassembly() {
         let mut e = SinkEngine::new(ErrorControlClass::DetectIndicate);
-        assert!(deliver_seqs(&e.on_tpdu(&tpdu(0, 0, 3), false, SimTime::ZERO)).is_empty());
-        assert!(deliver_seqs(&e.on_tpdu(&tpdu(0, 1, 3), false, SimTime::ZERO)).is_empty());
-        let a = e.on_tpdu(&tpdu(0, 2, 3), false, SimTime::ZERO);
+        assert!(deliver_seqs(&feed(&mut e, tpdu(0, 0, 3), false, SimTime::ZERO)).is_empty());
+        assert!(deliver_seqs(&feed(&mut e, tpdu(0, 1, 3), false, SimTime::ZERO)).is_empty());
+        let a = feed(&mut e, tpdu(0, 2, 3), false, SimTime::ZERO);
         assert_eq!(deliver_seqs(&a), vec![0]);
     }
 
     #[test]
     fn whole_osdu_gap_unreliable_counts_lost_and_continues() {
         let mut e = SinkEngine::new(ErrorControlClass::DetectIndicate);
-        e.on_tpdu(&tpdu(0, 0, 1), false, SimTime::ZERO);
+        feed(&mut e, tpdu(0, 0, 1), false, SimTime::ZERO);
         // 1 and 2 vanish.
-        let a = e.on_tpdu(&tpdu(3, 0, 1), false, SimTime::ZERO);
+        let a = feed(&mut e, tpdu(3, 0, 1), false, SimTime::ZERO);
         assert_eq!(e.lost, 2);
         assert_eq!(e.internal_freed, 2);
         assert_eq!(deliver_seqs(&a), vec![3]);
@@ -403,8 +441,8 @@ mod tests {
     fn missing_fragment_damages_osdu() {
         let mut e = SinkEngine::new(ErrorControlClass::DetectIndicate);
         // OSDU 0 fragment 0 of 2 arrives, fragment 1 lost; OSDU 1 arrives.
-        e.on_tpdu(&tpdu(0, 0, 2), false, SimTime::ZERO);
-        let a = e.on_tpdu(&tpdu(1, 0, 1), false, SimTime::ZERO);
+        feed(&mut e, tpdu(0, 0, 2), false, SimTime::ZERO);
+        let a = feed(&mut e, tpdu(1, 0, 1), false, SimTime::ZERO);
         assert_eq!(e.lost, 1);
         assert_eq!(deliver_seqs(&a), vec![1]);
     }
@@ -412,8 +450,8 @@ mod tests {
     #[test]
     fn corrupted_osdu_dropped_and_indicated() {
         let mut e = SinkEngine::new(ErrorControlClass::DetectIndicate);
-        e.on_tpdu(&tpdu(0, 0, 2), true, SimTime::ZERO);
-        let a = e.on_tpdu(&tpdu(0, 1, 2), false, SimTime::ZERO);
+        feed(&mut e, tpdu(0, 0, 2), true, SimTime::ZERO);
+        let a = feed(&mut e, tpdu(0, 1, 2), false, SimTime::ZERO);
         assert!(deliver_seqs(&a).is_empty());
         assert_eq!(e.corrupted, 1);
         assert_eq!(e.lost, 1);
@@ -423,9 +461,9 @@ mod tests {
     #[test]
     fn reliable_gap_nacks_and_stalls_then_repairs() {
         let mut e = SinkEngine::new(ErrorControlClass::DetectCorrect);
-        e.on_tpdu(&tpdu(0, 0, 1), false, SimTime::ZERO);
+        feed(&mut e, tpdu(0, 0, 1), false, SimTime::ZERO);
         // 1 lost; 2 arrives → nack for 1, delivery stalls.
-        let a = e.on_tpdu(&tpdu(2, 0, 1), false, SimTime::ZERO);
+        let a = feed(&mut e, tpdu(2, 0, 1), false, SimTime::ZERO);
         let nacks: Vec<Vec<u64>> = a
             .iter()
             .filter_map(|x| match x {
@@ -438,7 +476,7 @@ mod tests {
         assert_eq!(e.next_expected(), 1);
         assert_eq!(e.hole_count(), 1);
         // Retransmission of 1 arrives → 1 and stashed 2 both deliver.
-        let a = e.on_tpdu(&tpdu(1, 0, 1), false, SimTime::from_millis(5));
+        let a = feed(&mut e, tpdu(1, 0, 1), false, SimTime::from_millis(5));
         assert_eq!(deliver_seqs(&a), vec![1, 2]);
         assert_eq!(e.hole_count(), 0);
         assert_eq!(e.lost, 0);
@@ -447,8 +485,8 @@ mod tests {
     #[test]
     fn renack_paces_repeats() {
         let mut e = SinkEngine::new(ErrorControlClass::DetectCorrect);
-        e.on_tpdu(&tpdu(0, 0, 1), false, SimTime::ZERO);
-        let a = e.on_tpdu(&tpdu(2, 0, 1), false, SimTime::ZERO);
+        feed(&mut e, tpdu(0, 0, 1), false, SimTime::ZERO);
+        let a = feed(&mut e, tpdu(2, 0, 1), false, SimTime::ZERO);
         assert_eq!(
             a.iter()
                 .filter(|x| matches!(x, SinkAction::SendNack(_)))
@@ -456,7 +494,7 @@ mod tests {
             1
         );
         // Immediately after: no re-nack yet.
-        let a = e.on_tpdu(&tpdu(3, 0, 1), false, SimTime::from_millis(1));
+        let a = feed(&mut e, tpdu(3, 0, 1), false, SimTime::from_millis(1));
         assert_eq!(
             a.iter()
                 .filter(|x| matches!(x, SinkAction::SendNack(_)))
@@ -464,7 +502,7 @@ mod tests {
             0
         );
         // 100 ms later: re-nack fires.
-        let a = e.on_tpdu(&tpdu(4, 0, 1), false, SimTime::from_millis(101));
+        let a = feed(&mut e, tpdu(4, 0, 1), false, SimTime::from_millis(101));
         let renacks: Vec<&Vec<u64>> = a
             .iter()
             .filter_map(|x| match x {
@@ -478,9 +516,9 @@ mod tests {
     #[test]
     fn drop_notice_resolves_hole_without_loss() {
         let mut e = SinkEngine::new(ErrorControlClass::DetectCorrect);
-        e.on_tpdu(&tpdu(0, 0, 1), false, SimTime::ZERO);
-        e.on_tpdu(&tpdu(2, 0, 1), false, SimTime::ZERO); // hole at 1
-        let a = e.on_drop_notice(&[1], SimTime::from_millis(1));
+        feed(&mut e, tpdu(0, 0, 1), false, SimTime::ZERO);
+        feed(&mut e, tpdu(2, 0, 1), false, SimTime::ZERO); // hole at 1
+        let a = notice(&mut e, &[1], SimTime::from_millis(1));
         // Hole resolved; stashed 2 delivers; nothing counted lost.
         assert_eq!(deliver_seqs(&a), vec![2]);
         assert_eq!(e.lost, 0);
@@ -492,8 +530,8 @@ mod tests {
     fn drop_notice_ahead_of_data_skips_silently() {
         let mut e = SinkEngine::new(ErrorControlClass::DetectIndicate);
         // Source dropped 0 and 1 before sending 2.
-        e.on_drop_notice(&[0, 1], SimTime::ZERO);
-        let a = e.on_tpdu(&tpdu(2, 0, 1), false, SimTime::ZERO);
+        notice(&mut e, &[0, 1], SimTime::ZERO);
+        let a = feed(&mut e, tpdu(2, 0, 1), false, SimTime::ZERO);
         assert_eq!(deliver_seqs(&a), vec![2]);
         assert_eq!(e.lost, 0);
         assert_eq!(e.internal_freed, 2);
@@ -502,9 +540,35 @@ mod tests {
     #[test]
     fn stale_duplicate_ignored() {
         let mut e = SinkEngine::new(ErrorControlClass::DetectCorrect);
-        e.on_tpdu(&tpdu(0, 0, 1), false, SimTime::ZERO);
-        let a = e.on_tpdu(&tpdu(0, 0, 1), false, SimTime::ZERO);
+        let mut a = Vec::new();
+        assert_eq!(
+            e.on_tpdu(&tpdu(0, 0, 1), false, SimTime::ZERO, &mut a),
+            Arrival::Delivered
+        );
+        a.clear();
+        assert_eq!(
+            e.on_tpdu(&tpdu(0, 0, 1), false, SimTime::ZERO, &mut a),
+            Arrival::Duplicate
+        );
         assert!(a.is_empty());
         assert_eq!(e.delivered, 1);
+    }
+
+    #[test]
+    fn arrival_reports_what_the_final_fragment_did() {
+        let mut e = SinkEngine::new(ErrorControlClass::DetectCorrect);
+        let mut a = Vec::new();
+        let mut fed = |e: &mut SinkEngine, t: DataTpdu, corrupted: bool| {
+            e.on_tpdu(&t, corrupted, SimTime::ZERO, &mut a)
+        };
+        assert_eq!(fed(&mut e, tpdu(0, 0, 2), false), Arrival::Fragment);
+        assert_eq!(fed(&mut e, tpdu(0, 1, 2), false), Arrival::Delivered);
+        // 1 lost: 2 completes into the stash behind the hole.
+        assert_eq!(fed(&mut e, tpdu(2, 0, 1), false), Arrival::Stashed);
+        // A damaged OSDU closes without delivery.
+        assert_eq!(fed(&mut e, tpdu(3, 0, 1), true), Arrival::Resolved);
+        // The repair of 1 releases it and the stashed 2.
+        assert_eq!(fed(&mut e, tpdu(1, 0, 1), false), Arrival::Delivered);
+        assert_eq!(fed(&mut e, tpdu(1, 0, 1), false), Arrival::Duplicate);
     }
 }

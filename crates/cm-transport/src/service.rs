@@ -10,7 +10,8 @@
 //! monitoring (§5–6).
 
 use crate::buffer::BufferHandle;
-use crate::entity::TransportEntity;
+use crate::datapath::{Ctx, Outbox};
+use crate::entity::{TransportEntity, VcEntry};
 use crate::tpdu::QosReport;
 use crate::vc::{EndStats, VcRole};
 use cm_core::address::{AddressTriple, NetAddr, TransportAddr, Tsap, VcId};
@@ -221,6 +222,17 @@ impl TransportService {
         TransportService { entity }
     }
 
+    /// Run one data-path input on `vc` through the entity's driver.
+    fn drive<R>(
+        &self,
+        vc: VcId,
+        input: impl FnOnce(&mut VcEntry, &Ctx<'_>, &mut Outbox) -> Result<R, ServiceError>,
+    ) -> Result<R, ServiceError> {
+        self.entity
+            .drive(vc, input)
+            .unwrap_or(Err(ServiceError::UnknownVc))
+    }
+
     /// The causal-tracing registry this entity stamps spans into.
     pub fn obs(&self) -> &cm_obs::Obs {
         self.entity.obs()
@@ -380,13 +392,16 @@ impl TransportService {
         payload: Payload,
         event: Option<u64>,
     ) -> Result<bool, ServiceError> {
-        self.entity.write_osdu(vc, payload, event)
+        self.drive(vc, |e, cx, ob| {
+            let echo = e.egress.is_some();
+            e.vc.write(cx, payload, event, echo, ob)
+        })
     }
 
     /// Read the next in-order logical unit from the receive buffer
     /// (respects the orchestration gate).
     pub fn read_osdu(&self, vc: VcId) -> Result<Option<Osdu>, ServiceError> {
-        self.entity.read_osdu(vc)
+        self.drive(vc, |e, cx, ob| e.vc.read(cx, ob))
     }
 
     /// Direct handle to the source-end shared circular buffer.
@@ -426,53 +441,56 @@ impl TransportService {
 
     /// Register a [`VcTap`] on a VC.
     pub fn register_tap(&self, vc: VcId, tap: Rc<dyn VcTap>) -> Result<(), ServiceError> {
-        self.entity.register_tap(vc, tap)
+        self.entity.set_tap(vc, Some(tap))
     }
 
     /// Remove the tap from a VC.
     pub fn clear_tap(&self, vc: VcId) {
-        self.entity.clear_tap(vc)
+        let _ = self.entity.set_tap(vc, None);
     }
 
     /// Register an [`EgressTap`] on a source-end VC; it fires
     /// synchronously on every accepted `write_osdu`.
     pub fn set_egress_tap(&self, vc: VcId, tap: Rc<dyn EgressTap>) -> Result<(), ServiceError> {
-        self.entity.set_egress_tap(vc, tap)
+        self.entity.set_egress_tap(vc, Some(tap))
     }
 
     /// Remove the egress tap from a VC.
     pub fn clear_egress_tap(&self, vc: VcId) {
-        self.entity.clear_egress_tap(vc)
+        let _ = self.entity.set_egress_tap(vc, None);
     }
 
     /// Send an opaque payload on the VC's out-of-band control channel.
     pub fn send_vc_control(&self, vc: VcId, payload: Rc<dyn Any>) -> Result<(), ServiceError> {
-        self.entity.send_vc_control(vc, payload)
+        self.drive(vc, |e, _, ob| e.vc.send_control(payload, ob))
     }
 
     /// Freeze the source's transmission (Orch.Stop path).
     pub fn pause_source(&self, vc: VcId) -> Result<(), ServiceError> {
-        self.entity.pause_source(vc)
+        self.drive(vc, |e, _, ob| e.vc.pause(ob))
     }
 
     /// Resume a frozen source (Orch.Start path).
     pub fn resume_source(&self, vc: VcId) -> Result<(), ServiceError> {
-        self.entity.resume_source(vc)
+        self.drive(vc, |e, cx, ob| e.vc.resume(cx, ob))
     }
 
     /// Retune the pacing rate to `base × num/den` (LLO regulation).
     pub fn set_rate_factor(&self, vc: VcId, num: u64, den: u64) -> Result<(), ServiceError> {
-        self.entity.set_rate_factor(vc, num, den)
+        if num == 0 || den == 0 {
+            return Err(ServiceError::BadArgument("zero rate factor"));
+        }
+        self.drive(vc, |e, cx, ob| e.vc.set_rate_factor(cx, num, den, ob))
     }
 
     /// Discard the oldest unsent OSDU at the source (§6.3.1.1).
     pub fn source_drop_one(&self, vc: VcId) -> Result<bool, ServiceError> {
-        self.entity.source_drop_one(vc)
+        self.drive(vc, |e, cx, ob| e.vc.drop_one(cx, ob))
     }
 
     /// Gate/ungate delivery from the receive buffer (Orch.Prime).
     pub fn set_recv_gate(&self, vc: VcId, gated: bool) -> Result<(), ServiceError> {
-        self.entity.set_recv_gate(vc, gated)
+        self.drive(vc, |e, cx, ob| e.vc.set_gate(cx, gated, ob))
     }
 
     /// Cap the total OSDUs releasable to the sink application (the LLO's
@@ -485,12 +503,12 @@ impl TransportService {
 
     /// Flush this end's buffered OSDUs (stop + seek, §6.2.1).
     pub fn flush_local(&self, vc: VcId) -> Result<usize, ServiceError> {
-        self.entity.flush_local(vc)
+        self.drive(vc, |e, cx, ob| Ok(e.vc.flush(cx, ob)))
     }
 
     /// Harvest interval statistics for this end of the VC (§6.3.1.2).
     pub fn take_end_stats(&self, vc: VcId) -> Result<EndStats, ServiceError> {
-        self.entity.take_end_stats(vc)
+        self.drive(vc, |e, cx, _| Ok(e.vc.end_stats(cx.now)))
     }
 
     // ---- Self-healing (failure model, DESIGN.md §9) ------------------------
@@ -525,7 +543,9 @@ impl TransportService {
     /// bypassing the network. Fuzzing/chaos hook; `corrupted` marks the
     /// fragment as damaged in transit (error-control path).
     pub fn inject_data(&self, tpdu: crate::tpdu::DataTpdu, corrupted: bool) {
-        self.entity.on_data(tpdu, corrupted, 0);
+        self.entity.drive(tpdu.vc, |e, cx, ob| {
+            e.vc.on_data(cx, tpdu, corrupted, 0, ob)
+        });
     }
 
     // ---- Introspection -----------------------------------------------------

@@ -3,7 +3,8 @@
 //! Every VC is simplex (§3.1): one end holds a [`SourceEnd`] (send buffer +
 //! pacing/window engine), the other a [`SinkEnd`] (receive buffer +
 //! reassembly engine + QoS monitor). The same node may of course hold both
-//! ends of *different* VCs.
+//! ends of *different* VCs. The inputs that drive these ends live in
+//! [`crate::datapath`]; the timers that schedule them belong to the driver.
 
 use crate::buffer::BufferHandle;
 use crate::monitor::QosMonitor;
@@ -14,9 +15,8 @@ use crate::window::{GoBackNReceiver, GoBackNSender};
 use cm_core::address::{AddressTriple, NetAddr, Tsap, VcId};
 use cm_core::osdu::Osdu;
 use cm_core::qos::{QosParams, QosRequirement};
-use cm_core::service_class::ServiceClass;
-use cm_core::time::{SimDuration, SimTime};
-use netsim::PeriodicTimer;
+use cm_core::service_class::{ErrorControlClass, ServiceClass};
+use cm_core::time::{Rate, SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// Which end of the simplex VC this entity holds.
@@ -56,13 +56,6 @@ pub struct SourceEnd {
     pub retrans_cache: VecDeque<Osdu>,
     /// Maximum entries in `retrans_cache`.
     pub retrans_cache_cap: usize,
-    /// Pacing-tick timer; each re-arm implicitly drops the previous
-    /// deadline (one boxed closure while the VC is live). Attached after
-    /// the entry is inserted so the closure can capture the slab handle;
-    /// set back to `None` at teardown, which frees the engine's timer slot.
-    pub tick_timer: Option<PeriodicTimer>,
-    /// Window RTO timer (same attach/teardown lifecycle as `tick_timer`).
-    pub rto_timer: Option<PeriodicTimer>,
     /// Parked as consumer on the send buffer (application slow).
     pub waiting_buffer: bool,
     /// Stalled on exhausted receiver credit.
@@ -77,6 +70,40 @@ pub struct SourceEnd {
 }
 
 impl SourceEnd {
+    /// A fresh source end: `slots` send-buffer slots, pacing at `rate`
+    /// from the local instant `local`, with `recv_capacity` slots of
+    /// receiver credit and a retransmission cache of `cache_cap` OSDUs.
+    pub fn new(
+        slots: usize,
+        rate: Rate,
+        local: SimTime,
+        gbn: Option<GoBackNSender>,
+        recv_capacity: u64,
+        cache_cap: usize,
+    ) -> SourceEnd {
+        let mut clock = RateClock::new(rate);
+        clock.start(local);
+        SourceEnd {
+            send_buf: BufferHandle::new(slots),
+            clock,
+            gbn,
+            pending_frags: VecDeque::new(),
+            next_write_seq: 0,
+            charged: 0,
+            freed_remote: 0,
+            recv_capacity,
+            dropped: 0,
+            sent: 0,
+            retrans_cache: VecDeque::new(),
+            retrans_cache_cap: cache_cap,
+            waiting_buffer: false,
+            stalled_credit: false,
+            stalled_at: None,
+            rto_strikes: 0,
+            dropped_snap: 0,
+        }
+    }
+
     /// OSDUs charged against receiver buffer slots but not yet freed.
     pub fn in_flight(&self) -> u64 {
         self.charged.saturating_sub(self.freed_remote)
@@ -104,19 +131,42 @@ pub struct SinkEnd {
     pub last_freed_sent: u64,
     /// QoS monitor (absent for best-effort VCs).
     pub monitor: Option<QosMonitor>,
-    /// Monitor period timer (absent for best-effort VCs).
-    pub monitor_timer: Option<PeriodicTimer>,
     /// In-order OSDUs waiting for receive-buffer space.
     pub pending_delivery: VecDeque<Osdu>,
     /// Producer side (protocol) parked on a full receive buffer.
     pub producer_parked: bool,
     /// Interval-stats snapshot of the engine's lifetime loss counter.
     pub lost_snap: u64,
-    /// Interval-stats snapshot of the engine's lifetime delivery counter.
-    pub delivered_snap: u64,
 }
 
 impl SinkEnd {
+    /// A fresh sink end with `slots` receive-buffer slots. `window` adds
+    /// the window-profile receiver; `start_seq` is the first OSDU owed
+    /// (non-zero for a mid-stream group join).
+    pub fn new(
+        slots: usize,
+        class: ErrorControlClass,
+        window: bool,
+        monitor: Option<QosMonitor>,
+        start_seq: u64,
+    ) -> SinkEnd {
+        let mut engine = SinkEngine::new(class);
+        if start_seq > 0 {
+            engine.start_at(start_seq);
+        }
+        SinkEnd {
+            recv_buf: BufferHandle::new(slots),
+            engine,
+            gbn_recv: window.then(GoBackNReceiver::new),
+            app_popped: 0,
+            last_freed_sent: 0,
+            monitor,
+            pending_delivery: VecDeque::new(),
+            producer_parked: false,
+            lost_snap: 0,
+        }
+    }
+
     /// Cumulative freed slots: application pops + holes/drops resolved
     /// inside the engine.
     pub fn freed_total(&self) -> u64 {

@@ -131,7 +131,9 @@ proptest! {
             if !ok {
                 continue;
             }
-            for a in e.on_tpdu(&tpdu(seq as u64), false, SimTime::ZERO) {
+            let mut actions = Vec::new();
+            e.on_tpdu(&tpdu(seq as u64), false, SimTime::ZERO, &mut actions);
+            for a in actions {
                 if let SinkAction::Deliver(o) = a {
                     delivered.push(o.seq());
                 }
@@ -160,8 +162,10 @@ proptest! {
         let mut e = SinkEngine::new(ErrorControlClass::DetectCorrect);
         let n = lose.len() as u64;
         let mut delivered = Vec::new();
-        let collect = |actions: Vec<SinkAction>, delivered: &mut Vec<u64>| {
-            for a in actions {
+        let mut actions = Vec::new();
+        let mut feed = |e: &mut SinkEngine, seq: u64, now: SimTime, delivered: &mut Vec<u64>| {
+            e.on_tpdu(&tpdu(seq), false, now, &mut actions);
+            for a in actions.drain(..) {
                 if let SinkAction::Deliver(o) = a {
                     delivered.push(o.seq());
                 }
@@ -169,19 +173,13 @@ proptest! {
         };
         for (seq, &lost) in lose.iter().enumerate() {
             if !lost {
-                let acts = e.on_tpdu(&tpdu(seq as u64), false, SimTime::from_micros(seq as u64));
-                collect(acts, &mut delivered);
+                feed(&mut e, seq as u64, SimTime::from_micros(seq as u64), &mut delivered);
             }
         }
         // Retransmission pass for everything that was lost.
         for (seq, &lost) in lose.iter().enumerate() {
             if lost {
-                let acts = e.on_tpdu(
-                    &tpdu(seq as u64),
-                    false,
-                    SimTime::from_millis(1_000 + seq as u64),
-                );
-                collect(acts, &mut delivered);
+                feed(&mut e, seq as u64, SimTime::from_millis(1_000 + seq as u64), &mut delivered);
             }
         }
         prop_assert_eq!(delivered, (0..n).collect::<Vec<_>>());

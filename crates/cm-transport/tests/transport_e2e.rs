@@ -7,10 +7,11 @@
 use cm_core::address::{AddressTriple, TransportAddr, Tsap, VcId};
 use cm_core::error::DisconnectReason;
 use cm_core::media::MediaProfile;
-use cm_core::osdu::Payload;
+use cm_core::osdu::{Opdu, Payload};
 use cm_core::qos::{ErrorRate, QosParams, QosRequirement, QosTolerance};
 use cm_core::service_class::{ErrorControlClass, ProtocolProfile, ServiceClass};
 use cm_core::time::{Bandwidth, SimDuration, SimTime};
+use cm_transport::tpdu::DataTpdu;
 use cm_transport::{EntityConfig, QosReport, TransportService, TransportUser};
 use netsim::{two_node, Engine, JitterModel, LinkParams, Network, NodeClock};
 use std::cell::{Cell, RefCell};
@@ -654,6 +655,43 @@ fn source_flush_declares_drops_not_losses() {
 // ---------------------------------------------------------------------
 // Monitoring & renegotiation
 // ---------------------------------------------------------------------
+
+#[test]
+fn duplicate_osdu_counts_once_in_the_monitor() {
+    let w = world(clean_params());
+    let vc = open_vc(&w, ServiceClass::cm_default(), telephone_req());
+    // No source traffic: only the injected copies reach the sink.
+    w.svc_a.pause_source(vc).expect("pause");
+    let tpdu = DataTpdu {
+        vc,
+        osdu_seq: 0,
+        frag_index: 0,
+        frag_count: 1,
+        frag_bytes: 80,
+        opdu: Opdu {
+            seq: 0,
+            event: None,
+        },
+        payload: Some(Payload::synthetic(0, 80)),
+        osdu_sent_at: w.svc_b.now(),
+    };
+    // The same complete OSDU twice, as a re-NACK answered twice delivers
+    // it: the second copy is a stale duplicate.
+    w.svc_b.inject_data(tpdu.clone(), false);
+    w.svc_b.inject_data(tpdu, false);
+    w.net.engine().run_for(SimDuration::from_secs(1));
+    let events = w.user_b.events.borrow();
+    let measured: Vec<Bandwidth> = events
+        .iter()
+        .filter_map(|e| match e {
+            Ev::Qos(r) if r.vc == vc => Some(r.measured.throughput),
+            _ => None,
+        })
+        .collect();
+    // The first period (exactly one second) measured one 80-byte unit.
+    assert_eq!(measured.first(), Some(&Bandwidth::bps(640)), "{measured:?}");
+    assert_eq!(w.svc_b.sink_progress(vc).expect("progress"), 1);
+}
 
 #[test]
 fn qos_violation_raises_indication_at_both_ends() {
