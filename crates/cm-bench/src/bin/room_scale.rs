@@ -19,8 +19,9 @@
 //!   scaling table and writes the curve (with
 //!   `overhead_vs_flat_percent`) to the `--out` JSON. Every point runs
 //!   in a fresh child process (the bench re-executes itself) so one
-//!   measurement's heap cannot skew the next — world teardown
-//!   currently leaks the run's arena, see ROADMAP.
+//!   measurement's heap cannot skew the next — world teardown still
+//!   leaves two `Rc` cycles behind, see ROADMAP — and records that
+//!   process's `peak_rss_mb`.
 //! - `--smoke`: a ~50-room config run twice with the same seed; the two
 //!   runs must agree event-for-event (deterministic completion is
 //!   asserted, for CI). With `--zones` the assertion covers the merged
@@ -31,7 +32,8 @@
 //!   mode, so ad-hoc and smoke runs never touch a ledger.
 //! - `--metrics`: additionally print `key=value` lines to stdout, one
 //!   per measure, for the interleaved A/B harness (and the CI
-//!   zones-differential check) to harvest.
+//!   zones-differential check) to harvest. `peak_rss_mb` is the
+//!   process's peak resident set (`VmHWM`), 0 where `/proc` is absent.
 //! - `--telemetry-jsonl <path>`: run with telemetry enabled and dump the
 //!   full JSONL export — the flat engine's, or the deterministic merged
 //!   cluster stream when `--zones` is given.
@@ -138,6 +140,18 @@ fn measure_cluster(
         wall_us: wall.as_micros() as u64,
         stats,
     }
+}
+
+/// Peak resident set of this process (`VmHWM` in `/proc/self/status`),
+/// MB; 0 where `/proc` is absent.
+fn peak_rss_mb() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            let kb = s.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+            kb.trim().trim_end_matches("kB").trim().parse::<f64>().ok()
+        })
+        .map_or(0.0, |kb| kb / 1024.0)
 }
 
 /// 64-bit FNV-1a over a string — the differential-check fingerprint of a
@@ -313,6 +327,7 @@ struct Point {
     envelope_allocs: u64,
     wan_msgs: u64,
     wan_bytes: u64,
+    peak_rss_mb: f64,
 }
 
 fn point_from(stdout: &str) -> Point {
@@ -339,6 +354,7 @@ fn point_from(stdout: &str) -> Point {
             "envelope_allocs" => p.envelope_allocs = n,
             "wan_msgs" => p.wan_msgs = n,
             "wan_bytes" => p.wan_bytes = n,
+            "peak_rss_mb" => p.peak_rss_mb = v.parse().unwrap_or(0.0),
             _ => {}
         }
     }
@@ -350,9 +366,9 @@ fn point_from(stdout: &str) -> Point {
 
 /// Run one scaling point in a fresh child process (this bench re-executes
 /// itself) and harvest its `--metrics` lines. Process isolation keeps one
-/// measurement's heap from skewing the next: world teardown currently
-/// leaks the run's arena (see ROADMAP), so in-process interleaving
-/// degrades 2-3x over a pass.
+/// measurement's heap from skewing the next (world teardown still leaves
+/// two `Rc` cycles behind, see ROADMAP) and gives each point its own
+/// `peak_rss_mb`.
 fn bench_child(workload: &[String], extra: &[&str]) -> Point {
     let exe = std::env::current_exe()
         .unwrap_or_else(|e| fail(&format!("cannot locate own binary for child runs: {e}")));
@@ -400,7 +416,7 @@ fn write_scaling_json(
         .map(|(w, p)| {
             let speedup = baseline.wall_us as f64 / (p.wall_us.max(1)) as f64;
             format!(
-                "    {{\n      \"workers\": {},\n      \"zones\": {},\n      \"rounds\": {},\n      \"measured_wall_ms\": {},\n      \"engine_events\": {},\n      \"ns_per_event\": {:.1},\n      \"events_per_sec\": {:.0},\n      \"measured_speedup_vs_flat\": {:.3},\n      \"busy_us_total\": {},\n      \"sync_us_total\": {},\n      \"critical_path_us\": {},\n      \"parallel_speedup_bound\": {:.3},\n      \"envelopes_routed\": {},\n      \"envelope_allocs\": {},\n      \"wan_msgs\": {},\n      \"wan_bytes\": {}\n    }}",
+                "    {{\n      \"workers\": {},\n      \"zones\": {},\n      \"rounds\": {},\n      \"measured_wall_ms\": {},\n      \"engine_events\": {},\n      \"ns_per_event\": {:.1},\n      \"events_per_sec\": {:.0},\n      \"measured_speedup_vs_flat\": {:.3},\n      \"busy_us_total\": {},\n      \"sync_us_total\": {},\n      \"critical_path_us\": {},\n      \"parallel_speedup_bound\": {:.3},\n      \"envelopes_routed\": {},\n      \"envelope_allocs\": {},\n      \"wan_msgs\": {},\n      \"wan_bytes\": {},\n      \"peak_rss_mb\": {:.1}\n    }}",
                 w,
                 cfg.zones,
                 p.rounds,
@@ -420,14 +436,15 @@ fn write_scaling_json(
                 p.envelope_allocs,
                 p.wan_msgs,
                 p.wan_bytes,
+                p.peak_rss_mb,
             )
         })
         .collect();
     let notes = format!(
-        "Scaling curve: flat single-engine baseline vs the zone-sharded cluster at each worker count, interleaved min-of-{runs} on a {cores}-core host, all points replaying the identical pre-generated schedule, each point measured in a fresh child process so one run's heap cannot skew the next. wall_ms/speedup_vs_flat are measured wall clock; parallel_speedup_bound = total shard busy time / critical path (the per-round max over workers, summed) — the speedup the same run reaches once every worker has its own core. On a {cores}-core host measured speedup saturates at the core count; the bound is the hardware-independent number. ns_per_event = measured wall ns / engine events executed; both sides' wall clock includes zone partition, world build and drain. overhead_vs_flat_percent = (one-worker ns_per_event / flat ns_per_event - 1) * 100, the sharding tax per executed event (the sharded city executes more events than the flat one: its mirrors re-publish)."
+        "Scaling curve: flat single-engine baseline vs the zone-sharded cluster at each worker count, interleaved min-of-{runs} on a {cores}-core host, all points replaying the identical pre-generated schedule, each point measured in a fresh child process so one run's heap cannot skew the next; peak_rss_mb is that process's VmHWM. wall_ms/speedup_vs_flat are measured wall clock; parallel_speedup_bound = total shard busy time / critical path (the per-round max over workers, summed) — the speedup the same run reaches once every worker has its own core. On a {cores}-core host measured speedup saturates at the core count; the bound is the hardware-independent number. ns_per_event = measured wall ns / engine events executed; both sides' wall clock includes zone partition, world build and drain. overhead_vs_flat_percent = (one-worker ns_per_event / flat ns_per_event - 1) * 100, the sharding tax per executed event (the sharded city executes more events than the flat one: its mirrors re-publish)."
     );
     let json = format!(
-        "{{\n  \"bench\": \"cm-bench/src/bin/room_scale.rs\",\n  \"workload\": \"room-churn city, zone-sharded\",\n  \"notes\": \"{}\",\n{},\n  \"methodology\": \"interleaved min-of-{} per point on a {}-core host; every point runs in a fresh child process and replays the identical pre-generated schedule (flat baseline included)\",\n  \"flat_baseline\": {{\n    \"wall_ms\": {},\n    \"events_per_sec\": {:.0},\n    \"engine_events\": {},\n    \"ns_per_event\": {:.1}\n  }},\n  \"overhead_vs_flat_percent\": {:.2},\n  \"scaling\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"cm-bench/src/bin/room_scale.rs\",\n  \"workload\": \"room-churn city, zone-sharded\",\n  \"notes\": \"{}\",\n{},\n  \"methodology\": \"interleaved min-of-{} per point on a {}-core host; every point runs in a fresh child process and replays the identical pre-generated schedule (flat baseline included)\",\n  \"flat_baseline\": {{\n    \"wall_ms\": {},\n    \"events_per_sec\": {:.0},\n    \"engine_events\": {},\n    \"ns_per_event\": {:.1},\n    \"peak_rss_mb\": {:.1}\n  }},\n  \"overhead_vs_flat_percent\": {:.2},\n  \"scaling\": [\n{}\n  ]\n}}\n",
         json_escape(&notes),
         config_json(cfg),
         runs,
@@ -436,6 +453,7 @@ fn write_scaling_json(
         baseline.events_per_sec,
         baseline.events,
         ns_per_event(baseline),
+        baseline.peak_rss_mb,
         overhead_vs_flat_percent,
         entries.join(",\n"),
     );
@@ -706,6 +724,7 @@ fn main() {
         println!("wall_us={}", m.wall_us);
         println!("events_per_sec={:.0}", m.events_per_sec);
         println!("bytes_per_sec={:.0}", m.bytes_per_sec);
+        println!("peak_rss_mb={:.1}", peak_rss_mb());
     }
 
     if let (Some(path), Some(json)) = (&report, &report_json) {
@@ -826,6 +845,7 @@ fn run_cluster_mode(
         println!("sync_us_total={}", c.worker_sync_us.iter().sum::<u64>());
         println!("envelopes_routed={}", c.envelopes_routed);
         println!("envelope_allocs={}", c.envelope_allocs);
+        println!("peak_rss_mb={:.1}", peak_rss_mb());
     }
 
     let Some(out) = out else {

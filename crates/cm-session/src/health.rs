@@ -16,7 +16,7 @@
 //!   transport's regraft path), or the publisher's node died under a
 //!   stream. The room evicts the peer and tells the survivors.
 
-use crate::room::PeerId;
+use crate::room::{release_if_empty, PeerId};
 use cm_core::address::{NetAddr, VcId};
 use cm_core::error::DisconnectReason;
 use cm_core::time::{SimDuration, SimTime};
@@ -136,6 +136,7 @@ impl HealthState {
         b.probe_armed = false;
         if now.saturating_since(b.last_report) >= b.grace {
             self.degraded.remove(&(vc, member));
+            release_if_empty(&mut self.degraded);
             Some(true)
         } else {
             Some(false)
@@ -145,11 +146,13 @@ impl HealthState {
     /// Forget every branch of `member` (it left or was evicted).
     pub(crate) fn forget_member(&mut self, member: NetAddr) {
         self.degraded.retain(|&(_, m), _| m != member);
+        release_if_empty(&mut self.degraded);
     }
 
     /// Forget every branch of `vc` (the stream closed).
     pub(crate) fn forget_stream(&mut self, vc: VcId) {
         self.degraded.retain(|&(v, _), _| v != vc);
+        release_if_empty(&mut self.degraded);
     }
 
     /// Branches currently in violation, for introspection and tests.

@@ -21,6 +21,24 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::{Rc, Weak};
 
+/// Give an emptied map's root node back. An emptied `BTreeMap` keeps it
+/// allocated, so a room that empties would otherwise hold memory for its
+/// history rather than its live state.
+pub(crate) fn release_if_empty<K, V>(map: &mut BTreeMap<K, V>) {
+    if map.is_empty() {
+        *map = BTreeMap::new();
+    }
+}
+
+/// Remove the `i`th join in flight, releasing the buffer once none is left.
+fn take_pending(pending: &mut Vec<PendingJoin>, i: usize) -> PendingJoin {
+    let p = pending.remove(i);
+    if pending.is_empty() {
+        *pending = Vec::new();
+    }
+    p
+}
+
 /// Identifies a peer within one room.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PeerId(pub u64);
@@ -297,6 +315,7 @@ impl Room {
             let Some(entry) = peers.remove(&peer) else {
                 return;
             };
+            release_if_empty(&mut peers);
             (entry, peers.len())
         };
         session.member_departed(roster);
@@ -420,12 +439,12 @@ impl Room {
             .session
             .upgrade()
             .ok_or(ServiceError::WrongState("session gone"))?;
-        let s = self
-            .inner
-            .streams
-            .borrow_mut()
-            .remove(stream)
-            .ok_or(ServiceError::BadArgument("no such stream"))?;
+        let s = {
+            let mut streams = self.inner.streams.borrow_mut();
+            let s = streams.remove(stream);
+            release_if_empty(&mut streams);
+            s.ok_or(ServiceError::BadArgument("no such stream"))?
+        };
         session.vc_rooms.borrow_mut().remove(&s.vc);
         self.inner.health.borrow_mut().forget_stream(s.vc);
         session
@@ -483,7 +502,7 @@ impl Room {
                     p.waiting.is_empty()
                 };
                 if complete {
-                    let mut p = pending.remove(i);
+                    let mut p = take_pending(&mut pending, i);
                     drop(pending);
                     let id = p.entry.id;
                     let done = p.done.take();
@@ -494,7 +513,7 @@ impl Room {
                 }
             }
             Err(reason) => {
-                let mut p = pending.remove(i);
+                let mut p = take_pending(&mut pending, i);
                 drop(pending);
                 let stream = p.waiting.remove(&vc).unwrap_or_default();
                 // Roll back every branch the candidate already holds (and
@@ -721,6 +740,7 @@ impl Room {
             let Some(entry) = peers.remove(&peer) else {
                 return;
             };
+            release_if_empty(&mut peers);
             (entry, peers.len())
         };
         session.member_departed(roster);

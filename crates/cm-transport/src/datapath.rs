@@ -23,7 +23,7 @@ use crate::buffer::{BufferHandle, PushOutcome, Waker};
 use crate::heal::HealReason;
 use crate::receiver::{Arrival, SinkAction};
 use crate::tpdu::{fragment_sizes, ControlMsg, DataTpdu, QosReport};
-use crate::vc::{EndStats, SourceEnd, Vc, VcPhase, VcRole};
+use crate::vc::{EndStats, SourceEnd, Vc, VcRole};
 use cm_core::address::{AddressTriple, NetAddr, TransportAddr, Tsap, VcId};
 use cm_core::error::{DisconnectReason, ServiceError};
 use cm_core::osdu::{Opdu, Osdu, Payload};
@@ -292,9 +292,6 @@ impl Vc {
     /// One pacing tick of the rate-based source — the hottest periodic
     /// input in the stack.
     pub(crate) fn tick(&mut self, cx: &Ctx<'_>, ob: &mut Outbox) {
-        if self.phase != VcPhase::Open {
-            return;
-        }
         let s = self.src();
         // 1 µs tolerance: the local→global→local conversion truncates, so
         // an exactly-due tick can read as infinitesimally early; an early
@@ -418,9 +415,6 @@ impl Vc {
     ///   capacity, smallest cumulative freed);
     /// - pacing = base rate × contracted/preferred throughput.
     pub(crate) fn regroup(&mut self, cx: &Ctx<'_>, ob: &mut Outbox) {
-        if self.phase != VcPhase::Open {
-            return;
-        }
         let preferred = self.requirement.tolerance.preferred;
         let Some(ge) = self.group.as_ref() else {
             return;
@@ -510,9 +504,6 @@ impl Vc {
     /// and ask the sink to re-advertise its cumulative credit. Returns
     /// whether anything was sent.
     pub(crate) fn unstick(&mut self, cx: &Ctx<'_>, ob: &mut Outbox) -> bool {
-        if self.phase != VcPhase::Open {
-            return false;
-        }
         let Some(s) = self.source.as_ref() else {
             return false;
         };
@@ -565,9 +556,6 @@ impl Vc {
     pub(crate) fn pump(&mut self, cx: &Ctx<'_>, ob: &mut Outbox) {
         let (vc, peer) = (self.id, self.peer_node);
         loop {
-            if self.phase != VcPhase::Open {
-                return;
-            }
             let s = self.src();
             let gbn = s.gbn.as_mut().expect("window sender");
             if !gbn.can_send() {
@@ -611,9 +599,6 @@ impl Vc {
 
     /// The window RTO fired: go back N.
     pub(crate) fn on_rto(&mut self, cx: &Ctx<'_>, ob: &mut Outbox) {
-        if self.phase != VcPhase::Open {
-            return;
-        }
         let (vc, peer) = (self.id, self.peer_node);
         let s = self.src();
         let gbn = s.gbn.as_mut().expect("window sender");
@@ -696,9 +681,6 @@ impl Vc {
     ) -> Result<bool, ServiceError> {
         if self.role != VcRole::Source {
             return Err(ServiceError::WrongState("write on sink end"));
-        }
-        if self.phase != VcPhase::Open {
-            return Err(ServiceError::WrongState("write on non-open VC"));
         }
         if payload.len() > self.requirement.max_osdu_size {
             return Err(ServiceError::BadArgument("OSDU exceeds max_osdu_size"));
@@ -790,9 +772,6 @@ impl Vc {
         payload: Rc<dyn Any>,
         ob: &mut Outbox,
     ) -> Result<(), ServiceError> {
-        if self.phase != VcPhase::Open {
-            return Err(ServiceError::UnknownVc);
-        }
         ob.push(Output::Control {
             to: self.feedback_to(),
             msg: Msg::UserControl(payload),
@@ -889,9 +868,6 @@ impl Vc {
         queued_us: u64,
         ob: &mut Outbox,
     ) {
-        if self.phase != VcPhase::Open {
-            return;
-        }
         let Some(k) = self.sink.as_mut() else { return };
         let (lost, damaged) = (k.engine.lost, k.engine.corrupted);
         let mut actions = std::mem::take(&mut ob.actions);
@@ -1108,9 +1084,6 @@ impl Vc {
     /// A QoS monitor period ended (§4.1.2): sample, and on violation
     /// indicate locally and report to the source end.
     pub(crate) fn on_monitor(&mut self, cx: &Ctx<'_>, ob: &mut Outbox) {
-        if self.phase != VcPhase::Open {
-            return;
-        }
         let (vc, contract, peer, tsap) = (self.id, self.contract, self.peer_node, self.local_tsap);
         let Some(m) = self.sink.as_mut().and_then(|k| k.monitor.as_mut()) else {
             return;
@@ -1239,7 +1212,6 @@ mod tests {
             role,
             peer_node: peer,
             local_tsap: Tsap(2),
-            phase: VcPhase::Open,
             source,
             sink,
             group: None,

@@ -33,7 +33,7 @@ use crate::heal::HealReason;
 use crate::monitor::QosMonitor;
 use crate::service::{EgressTap, EntityConfig, TransportService, TransportUser, VcTap};
 use crate::tpdu::{ControlMsg, DataTpdu, CONTROL_WIRE_SIZE};
-use crate::vc::{SinkEnd, SourceEnd, Vc, VcPhase, VcRole};
+use crate::vc::{SinkEnd, SourceEnd, Vc, VcRole};
 use crate::window::GoBackNSender;
 use cm_core::address::{AddressTriple, NetAddr, TransportAddr, Tsap, VcId};
 use cm_core::error::{DisconnectReason, ServiceError};
@@ -209,6 +209,13 @@ impl VcTable {
         });
         self.by_id.insert(vc, h);
         h
+    }
+
+    /// Remove the endpoint of `vc` (slab slot and id), handing the entry
+    /// back so the caller can drop it outside the state borrow.
+    fn remove(&mut self, vc: VcId) -> Option<VcEntry> {
+        let h = self.by_id.remove(&vc)?;
+        self.slots.remove(h)
     }
 
     pub(crate) fn heal(&self, vc: &VcId) -> Option<&crate::heal::HealState> {
@@ -742,10 +749,7 @@ impl TransportEntity {
         // remote initiator, if any — §3.5: responses go to both).
         let info = {
             let st = self.state.borrow();
-            st.vcs
-                .get(&vc)
-                .filter(|v| v.phase != VcPhase::Closed)
-                .map(|v| (v.peer_node, v.triple))
+            st.vcs.get(&vc).map(|v| (v.peer_node, v.triple))
         };
         if let Some((peer, triple)) = info {
             self.teardown_local(vc, reason.clone(), false);
@@ -803,11 +807,7 @@ impl TransportEntity {
         }
         let peer = {
             let st = self.state.borrow();
-            let v = st.vcs.get(&vc).ok_or(ServiceError::UnknownVc)?;
-            if v.phase != VcPhase::Open {
-                return Err(ServiceError::WrongState("renegotiate on non-open VC"));
-            }
-            v.peer_node
+            st.vcs.get(&vc).ok_or(ServiceError::UnknownVc)?.peer_node
         };
         self.send_control(peer, ControlMsg::RenegotiateRequest { vc, new_tolerance });
         Ok(())
@@ -839,7 +839,7 @@ impl TransportEntity {
         let pending = {
             let mut st = self.state.borrow_mut();
             let v = st.vcs.get_mut(&vc).ok_or(ServiceError::UnknownVc)?;
-            v.pending_renegotiation().take()
+            v.pending_reneg.take()
         };
         let new_tolerance = match pending {
             Some(t) => t,
@@ -944,7 +944,6 @@ impl TransportEntity {
             role: VcRole::Sink,
             peer_node: p.triple.source.node,
             local_tsap: p.triple.destination.tsap,
-            phase: VcPhase::Open,
             source: None,
             sink: Some(sink),
             group: None,
@@ -980,7 +979,6 @@ impl TransportEntity {
             role: VcRole::Source,
             peer_node: p.triple.destination.node,
             local_tsap: p.triple.source.tsap,
-            phase: VcPhase::Open,
             source: Some(source),
             sink: None,
             group: None,
@@ -1002,51 +1000,19 @@ impl TransportEntity {
         self.open_entry(h);
     }
 
+    /// Release the local endpoint of `vc`: it leaves the table, so every
+    /// later input for it — control, data, timer fire, service call —
+    /// finds nothing, exactly as for an id never known here.
     pub(crate) fn teardown_local(
         self: &Rc<Self>,
         vc: VcId,
         reason: DisconnectReason,
         indicate: bool,
     ) {
-        let tsap = {
-            let mut st = self.state.borrow_mut();
-            let entry = st.vcs.resolve(vc).and_then(|h| st.vcs.at_mut(h));
-            match entry {
-                Some(e) => {
-                    e.tap = None;
-                    e.egress = None;
-                    e.heal = None;
-                    let v = &mut e.vc;
-                    if v.phase == VcPhase::Closed {
-                        None
-                    } else {
-                        v.phase = VcPhase::Closed;
-                        // Closed entries stay in the table so late control
-                        // messages resolve (and are ignored by phase
-                        // checks), but they shed everything heavy: timers
-                        // give their engine slots and boxed closures back,
-                        // and the caches that scale with traffic are
-                        // dropped. At city scale this is the difference
-                        // between memory tracking *live* VCs and memory
-                        // tracking *every VC that ever existed*.
-                        e.tick = None;
-                        e.rto = None;
-                        e.monitor = None;
-                        if let Some(s) = &mut v.source {
-                            s.gbn = None;
-                            s.pending_frags = std::collections::VecDeque::new();
-                            s.retrans_cache = std::collections::VecDeque::new();
-                        }
-                        if let Some(k) = &mut v.sink {
-                            k.monitor = None;
-                            k.pending_delivery = std::collections::VecDeque::new();
-                        }
-                        Some(v.local_tsap)
-                    }
-                }
-                None => None,
-            }
-        };
+        let gone = self.state.borrow_mut().vcs.remove(vc);
+        // The entry drops here, with the state borrow released: its timers
+        // give their engine slots back, and a tap's drop may call in.
+        let tsap = gone.map(|e| e.vc.local_tsap);
         self.net.release_reservation(vc);
         if indicate {
             if let Some(tsap) = tsap {
@@ -1171,35 +1137,22 @@ impl TransportEntity {
                     self.group_member_left(vc, from, reason);
                     return;
                 }
-                if let Some(to_notify) = notify {
+                if notify.is_some() {
                     // Remote release request: indication only; the user
                     // decides whether to actually release (§4.1.1).
-                    let tsap = {
-                        let st = self.state.borrow();
-                        st.vcs.get(&vc).map(|v| v.local_tsap)
-                    };
+                    let tsap = self.state.borrow().vcs.get(&vc).map(|v| v.local_tsap);
                     if let Some(tsap) = tsap {
-                        let reason = reason.clone();
                         self.indicate(tsap, Indication::Disconnect(vc, reason));
-                    } else {
-                        // VC unknown: report back to the requester.
-                        let _ = to_notify;
                     }
                 } else {
                     self.teardown_local(vc, reason, true);
                 }
             }
             ControlMsg::RenegotiateRequest { vc, new_tolerance } => {
-                let tsap = {
-                    let mut st = self.state.borrow_mut();
-                    match st.vcs.get_mut(&vc) {
-                        Some(v) if v.phase == VcPhase::Open => {
-                            *v.pending_renegotiation() = Some(new_tolerance);
-                            Some(v.local_tsap)
-                        }
-                        _ => None,
-                    }
-                };
+                let tsap = self.state.borrow_mut().vcs.get_mut(&vc).map(|v| {
+                    v.pending_reneg = Some(new_tolerance);
+                    v.local_tsap
+                });
                 if let Some(tsap) = tsap {
                     self.indicate(tsap, Indication::Renegotiate(vc, new_tolerance));
                 }
@@ -1543,14 +1496,6 @@ impl TransportEntity {
         let e = st.vcs.entry_mut(&vc).ok_or(ServiceError::UnknownVc)?;
         e.egress = tap;
         Ok(())
-    }
-}
-
-impl Vc {
-    /// Slot for a tolerance received in a `RenegotiateRequest`, awaiting
-    /// the local user's response.
-    pub(crate) fn pending_renegotiation(&mut self) -> &mut Option<QosTolerance> {
-        &mut self.pending_reneg
     }
 }
 

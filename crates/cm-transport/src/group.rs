@@ -24,7 +24,7 @@
 use crate::datapath::Indication;
 use crate::entity::TransportEntity;
 use crate::tpdu::ControlMsg;
-use crate::vc::{SourceEnd, Vc, VcPhase, VcRole};
+use crate::vc::{SourceEnd, Vc, VcRole};
 use cm_core::address::{AddressTriple, NetAddr, TransportAddr, Tsap, VcId};
 use cm_core::error::{DisconnectReason, ServiceError};
 use cm_core::qos::{GuaranteeMode, QosParams, QosRequirement};
@@ -131,7 +131,6 @@ impl TransportEntity {
             role: VcRole::Source,
             peer_node: self.node,
             local_tsap: tsap,
-            phase: VcPhase::Open,
             source: Some(source),
             sink: None,
             group: Some(GroupEnd {
@@ -170,9 +169,6 @@ impl TransportEntity {
         let (group, class, requirement, local_tsap, start_seq) = {
             let st = self.state.borrow();
             let v = st.vcs.get(&vc).ok_or(ServiceError::UnknownVc)?;
-            if v.phase != VcPhase::Open {
-                return Err(ServiceError::WrongState("group VC not open"));
-            }
             let ge = v
                 .group
                 .as_ref()

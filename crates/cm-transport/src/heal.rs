@@ -47,7 +47,6 @@
 
 use crate::datapath::Indication;
 use crate::entity::TransportEntity;
-use crate::vc::VcPhase;
 use cm_core::address::{NetAddr, VcId};
 use cm_core::error::DisconnectReason;
 use cm_core::qos::GuaranteeMode;
@@ -119,14 +118,11 @@ impl TransportEntity {
     /// is an open source end — repair is the sender's job.
     pub(crate) fn heal_kick(self: &Rc<Self>, vc: VcId, reason: HealReason) {
         let now = self.now();
-        {
-            let st = self.state.borrow();
-            let Some(v) = st.vcs.get(&vc) else { return };
-            if v.phase != VcPhase::Open || v.source.is_none() {
-                return;
-            }
-        }
-        if self.state.borrow().vcs.heal(&vc).is_none() {
+        let armed = match self.state.borrow().vcs.entry(&vc) {
+            Some(e) if e.vc.source.is_some() => e.heal.is_some(),
+            _ => return,
+        };
+        if !armed {
             let weak = Rc::downgrade(self);
             let timer = PeriodicTimer::new(self.net.engine(), move |_| {
                 if let Some(me) = weak.upgrade() {
@@ -190,7 +186,6 @@ impl TransportEntity {
             return;
         }
         enum Probe {
-            Gone,
             Unicast {
                 peer: NetAddr,
                 needs_resv: bool,
@@ -205,33 +200,27 @@ impl TransportEntity {
         }
         let probe = {
             let st = self.state.borrow();
-            match st.vcs.get(&vc) {
-                Some(v) if v.phase == VcPhase::Open && v.source.is_some() => {
-                    let s = v.source.as_ref().expect("source end");
-                    let stalled = s.stalled_credit;
-                    match &v.group {
-                        Some(ge) => Probe::Group {
-                            group: ge.group,
-                            stalled,
-                        },
-                        None => Probe::Unicast {
-                            peer: v.peer_node,
-                            needs_resv: v.requirement.guarantee != GuaranteeMode::BestEffort,
-                            bandwidth: v.contract.throughput,
-                            stalled,
-                            window: s.gbn.is_some(),
-                        },
-                    }
-                }
-                _ => Probe::Gone,
+            // The probe timer lives in the source end's entry and goes
+            // with it at release, so a fire finds a live source end.
+            let Some((v, s)) = st.vcs.get(&vc).and_then(|v| Some((v, v.source.as_ref()?))) else {
+                return;
+            };
+            let stalled = s.stalled_credit;
+            match &v.group {
+                Some(ge) => Probe::Group {
+                    group: ge.group,
+                    stalled,
+                },
+                None => Probe::Unicast {
+                    peer: v.peer_node,
+                    needs_resv: v.requirement.guarantee != GuaranteeMode::BestEffort,
+                    bandwidth: v.contract.throughput,
+                    stalled,
+                    window: s.gbn.is_some(),
+                },
             }
         };
         match probe {
-            Probe::Gone => {
-                if let Some(e) = self.state.borrow_mut().vcs.entry_mut(&vc) {
-                    e.heal = None;
-                }
-            }
             Probe::Unicast {
                 peer,
                 needs_resv,

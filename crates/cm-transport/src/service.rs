@@ -623,10 +623,6 @@ impl TransportService {
 
     /// Whether the VC is open at this end.
     pub fn is_open(&self, vc: VcId) -> bool {
-        let st = self.entity.state.borrow();
-        st.vcs
-            .get(&vc)
-            .map(|v| v.phase == crate::vc::VcPhase::Open)
-            .unwrap_or(false)
+        self.entity.state.borrow().vcs.resolve(vc).is_some()
     }
 }

@@ -174,18 +174,9 @@ impl SinkEnd {
     }
 }
 
-/// The lifecycle of a VC endpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VcPhase {
-    /// Handshake in progress.
-    Connecting,
-    /// Data may flow.
-    Open,
-    /// Torn down (kept briefly for late-message tolerance).
-    Closed,
-}
-
-/// One VC endpoint.
+/// One open VC endpoint. An endpoint exists only while its VC is open:
+/// release removes it from the entity, so a released VC is
+/// indistinguishable from one that was never known.
 pub struct Vc {
     /// Connection id (allocated by the initiating entity).
     pub id: VcId,
@@ -203,8 +194,6 @@ pub struct Vc {
     pub peer_node: NetAddr,
     /// The local user's TSAP (for indications).
     pub local_tsap: Tsap,
-    /// Lifecycle phase.
-    pub phase: VcPhase,
     /// Source-end machinery (when `role == Source`).
     pub source: Option<SourceEnd>,
     /// Sink-end machinery (when `role == Sink`).

@@ -6,12 +6,13 @@
 use cm_core::address::{AddressTriple, NetAddr, TransportAddr, Tsap, VcId};
 use cm_core::error::{DisconnectReason, ServiceError};
 use cm_core::media::MediaProfile;
-use cm_core::osdu::Payload;
-use cm_core::qos::{ErrorRate, QosParams, QosRequirement, QosTolerance};
+use cm_core::osdu::{Opdu, Payload};
+use cm_core::qos::{ErrorRate, QosParams, QosRequirement, QosTolerance, QosViolation};
 use cm_core::rng::DetRng;
 use cm_core::service_class::{ErrorControlClass, ProtocolProfile, ServiceClass};
 use cm_core::time::{Bandwidth, SimDuration, SimTime};
-use cm_transport::{EntityConfig, TransportService, TransportUser};
+use cm_transport::tpdu::{ControlMsg, DataTpdu};
+use cm_transport::{EntityConfig, QosReport, TransportService, TransportUser};
 use netsim::{Engine, LinkParams, Network, NodeClock};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -518,6 +519,126 @@ fn group_close_disconnects_members_and_releases_everything() {
         );
         assert!(!w.svcs[i].is_open(vc));
     }
+}
+
+/// Every late input a peer may still send for a VC, addressed to `vc`:
+/// feedback, reports, answers, releases and a data fragment.
+fn late_inputs(vc: VcId, member: TransportAddr, qos: QosParams) -> Vec<ControlMsg> {
+    let starved = QosReport {
+        vc,
+        contracted: qos,
+        measured: QosParams {
+            throughput: Bandwidth::ZERO,
+            ..qos
+        },
+        sample_period: SimDuration::from_millis(100),
+        violations: vec![QosViolation::Throughput {
+            contracted: qos.throughput,
+            measured: Bandwidth::ZERO,
+        }],
+    };
+    vec![
+        ControlMsg::Credit {
+            vc,
+            freed_total: 1_000,
+        },
+        ControlMsg::Nack {
+            vc,
+            seqs: vec![0, 1, 2],
+        },
+        ControlMsg::Ack { vc, upto: 3 },
+        ControlMsg::Dropped { vc, seqs: vec![4] },
+        ControlMsg::QosReportMsg(starved),
+        ControlMsg::RenegotiateResponse {
+            vc,
+            result: Ok(qos),
+        },
+        ControlMsg::Disconnect {
+            vc,
+            reason: DisconnectReason::UserRelease,
+            notify: Some(member),
+        },
+        ControlMsg::GroupConnectResponse {
+            vc,
+            member,
+            result: Ok((qos, 8)),
+        },
+    ]
+}
+
+fn late_data(vc: VcId, now: SimTime) -> DataTpdu {
+    DataTpdu {
+        vc,
+        osdu_seq: 50,
+        frag_index: 0,
+        frag_count: 1,
+        frag_bytes: 80,
+        opdu: Opdu {
+            seq: 50,
+            event: None,
+        },
+        payload: Some(Payload::synthetic(50, 80)),
+        osdu_sent_at: now,
+    }
+}
+
+/// What late input to `vc` at node `at` (from `from`) leaves behind: the
+/// engine events it caused (packets and indications are both events) and
+/// the indications every user saw.
+fn late_input_footprint(w: &GroupWorld, at: usize, from: usize, vc: VcId) -> (u64, usize) {
+    let indications = || {
+        w.users
+            .iter()
+            .map(|u| u.events.borrow().len())
+            .sum::<usize>()
+    };
+    let (events, seen) = (w.net.engine().executed(), indications());
+    let qos = telephone_req().tolerance.preferred;
+    let svc = &w.svcs[at];
+    for msg in late_inputs(vc, w.addr(from), qos) {
+        svc.inject_control(w.nodes[from], msg);
+    }
+    svc.inject_data(late_data(vc, svc.now()), false);
+    w.run_ms(200);
+    (w.net.engine().executed() - events, indications() - seen)
+}
+
+#[test]
+fn late_input_to_a_released_vc_is_ignored_like_an_unknown_id() {
+    let w = star(&[clean(), clean()]);
+    let vc = open_group(&w, ServiceClass::cm_default(), telephone_req(), 2);
+    drive_writer(w.svcs[0].clone(), vc, 20, 80);
+    let got = drive_reader(w.svcs[2].clone(), vc);
+    w.run_ms(1_000);
+    assert_eq!(seqs_of(&got).len(), 20);
+    w.svcs[0].t_group_close(vc).expect("close");
+    w.run_ms(200);
+    assert_eq!(
+        w.net.engine().pending(),
+        0,
+        "a released VC left work behind"
+    );
+    let never = VcId(0xdead_beef);
+    // At the sender (input from a former member) and at a former member
+    // (input from the sender), a released id and a never-opened id leave
+    // the same footprint: no packet, no indication.
+    for (at, from) in [(0, 2), (2, 0)] {
+        assert_eq!(late_input_footprint(&w, at, from, never), (0, 0));
+        assert_eq!(late_input_footprint(&w, at, from, vc), (0, 0));
+    }
+    for id in [never, vc] {
+        // A second close re-sends nothing: the id is simply unknown.
+        assert_eq!(w.svcs[0].t_group_close(id), Err(ServiceError::UnknownVc));
+        assert_eq!(
+            w.svcs[0].t_group_remove_receiver(id, w.nodes[2]),
+            Err(ServiceError::UnknownVc)
+        );
+        for at in [0, 2] {
+            assert_eq!(w.svcs[at].take_end_stats(id), Err(ServiceError::UnknownVc));
+            assert!(!w.svcs[at].is_open(id));
+        }
+    }
+    assert_eq!(w.net.engine().pending(), 0, "a second close sent something");
 }
 
 // ---------------------------------------------------------------------

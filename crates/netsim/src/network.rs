@@ -72,7 +72,7 @@ pub struct NetworkCounters {
 }
 
 /// What [`Network::group_refresh`] did to a shared tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GroupRefresh {
     /// Members dropped because no live root → member path exists any more.
     pub unreachable: Vec<NetAddr>,
@@ -82,18 +82,30 @@ pub struct GroupRefresh {
     pub links_removed: usize,
 }
 
+/// `parent[v]` = (parent node, link parent→v) on the BFS shortest-path
+/// tree rooted at one node; `None` where `v` is unreachable (or the root).
+type Parents = Rc<[Option<(NetAddr, LinkId)>]>;
+
 /// State of one multicast group (see [`crate::multicast`]).
 struct GroupState {
     root: NetAddr,
     /// Bandwidth reserved on every tree link (one rate per tree).
     bandwidth: Bandwidth,
     members: BTreeSet<NetAddr>,
-    /// `parent[v]` = (parent node, link parent→v) on the BFS shortest-path
-    /// tree rooted at `root`, computed once (topology is frozen).
-    parent: Vec<Option<(NetAddr, LinkId)>>,
+    /// The BFS parent forest rooted at `root` (see [`Parents`]), shared
+    /// with the groups on the same root; `None` once the group is released.
+    parent: Option<Parents>,
     /// Current immutable snapshot; sends capture it, so membership churn
     /// never affects packets already in flight.
     tree: Rc<GroupTree>,
+}
+
+impl GroupState {
+    /// `v`'s hop toward the root: `None` if `v` is cut off under the
+    /// forest, or the group is released.
+    fn parent_of(&self, v: NetAddr) -> Option<(NetAddr, LinkId)> {
+        self.parent.as_ref()?[v.0 as usize]
+    }
 }
 
 struct NetworkInner {
@@ -103,6 +115,9 @@ struct NetworkInner {
     adjacency: Vec<Vec<LinkId>>,
     /// `next_hop[from][dst]` = link to take, or `None` (lazily built).
     next_hop: Vec<Option<Vec<Option<LinkId>>>>,
+    /// BFS parent forest per multicast root (lazily built, one per root
+    /// however many groups it roots; cleared with `next_hop`).
+    mcast_parents: Vec<Option<Parents>>,
     /// Set the first time routes are computed; `add_link`/`add_node` refuse
     /// afterwards. Kept separately from the `next_hop` caches because fault
     /// transitions clear those to force recomputation around dead elements
@@ -153,6 +168,9 @@ impl NetworkInner {
         for r in &mut self.next_hop {
             *r = None;
         }
+        for p in &mut self.mcast_parents {
+            *p = None;
+        }
     }
 
     fn next_hop(&mut self, from: NetAddr, dst: NetAddr) -> Option<LinkId> {
@@ -161,6 +179,16 @@ impl NetworkInner {
             self.build_routes_from(f);
         }
         self.next_hop[f].as_ref().expect("routes just built")[dst.0 as usize]
+    }
+
+    /// The parent forest rooted at `root` under the current up/down state,
+    /// built on first use and shared until the next fault transition.
+    fn mcast_parents(&mut self, root: NetAddr) -> Parents {
+        let r = root.0 as usize;
+        if self.mcast_parents[r].is_none() {
+            self.mcast_parents[r] = Some(self.build_mcast_parents(r).into());
+        }
+        self.mcast_parents[r].clone().expect("forest just built")
     }
 
     /// BFS from `root` recording, for every reachable node, the edge it was
@@ -204,7 +232,7 @@ impl NetworkInner {
         let mut acc = Vec::new();
         let mut v = member;
         while v != group.root {
-            let (p, lid) = group.parent[v.0 as usize]?;
+            let (p, lid) = group.parent_of(v)?;
             if existing.contains(&lid) {
                 break; // grafted onto the existing tree
             }
@@ -220,7 +248,7 @@ impl NetworkInner {
         let mut acc = Vec::new();
         let mut v = member;
         while v != group.root {
-            let (p, lid) = group.parent[v.0 as usize]?;
+            let (p, lid) = group.parent_of(v)?;
             acc.push(lid);
             v = p;
         }
@@ -247,7 +275,7 @@ impl NetworkInner {
                 if v == group.root {
                     break true;
                 }
-                match group.parent[v.0 as usize] {
+                match group.parent_of(v) {
                     Some((p, _)) => v = p,
                     None => break false,
                 }
@@ -258,7 +286,7 @@ impl NetworkInner {
             reached.insert(m);
             let mut v = m;
             while v != group.root {
-                let (p, lid) = group.parent[v.0 as usize].expect("branch walk just succeeded");
+                let (p, lid) = group.parent_of(v).expect("branch walk just succeeded");
                 if !links.insert(lid) {
                     break; // remainder of the walk is already in the tree
                 }
@@ -303,6 +331,7 @@ impl Network {
                 links: Vec::new(),
                 adjacency: Vec::new(),
                 next_hop: Vec::new(),
+                mcast_parents: Vec::new(),
                 frozen: false,
                 groups: Vec::new(),
                 counters: NetworkCounters::default(),
@@ -341,6 +370,7 @@ impl Network {
         });
         inner.adjacency.push(Vec::new());
         inner.next_hop.push(None);
+        inner.mcast_parents.push(None);
         addr
     }
 
@@ -668,8 +698,11 @@ impl Network {
     // ==================================================================
 
     /// Create a multicast group rooted at `root`, reserving `bandwidth` on
-    /// every link its shared tree comes to hold. Freezes the topology
-    /// (the BFS tree is computed once).
+    /// every link its shared tree comes to hold. Freezes the topology.
+    /// The group shares its root's BFS forest with every group created on
+    /// that root until the next fault transition; a group made afterwards
+    /// gets the forest around the fault, while older groups keep theirs
+    /// until [`Network::group_refresh`].
     pub fn create_group(&self, root: NetAddr, bandwidth: Bandwidth) -> GroupId {
         let mut inner = self.inner.borrow_mut();
         // Freeze the topology exactly like unicast routing does, so links
@@ -678,7 +711,7 @@ impl Network {
             inner.build_routes_from(root.0 as usize);
         }
         let id = GroupId(inner.groups.len() as u32);
-        let parent = inner.build_mcast_parents(root.0 as usize);
+        let parent = Some(inner.mcast_parents(root));
         inner.groups.push(GroupState {
             root,
             bandwidth,
@@ -757,16 +790,19 @@ impl Network {
     /// (charging detour links, releasing abandoned ones — all-or-nothing:
     /// if a detour link lacks bandwidth nothing changes and the caller
     /// retries later). This is the multicast re-graft primitive the
-    /// transport's healing layer drives.
+    /// transport's healing layer drives. A released group stays released.
     pub fn group_refresh(&self, g: GroupId) -> Result<GroupRefresh, AdmissionError> {
         let mut inner = self.inner.borrow_mut();
+        if inner.groups[g.0 as usize].parent.is_none() {
+            return Ok(GroupRefresh::default());
+        }
         let root = inner.groups[g.0 as usize].root;
         let parent = if inner.nodes[root.0 as usize].up {
-            inner.build_mcast_parents(root.0 as usize)
+            inner.mcast_parents(root)
         } else {
-            vec![None; inner.nodes.len()] // dead root: nobody is reachable
+            vec![None; inner.nodes.len()].into() // dead root: nobody is reachable
         };
-        inner.groups[g.0 as usize].parent = parent;
+        inner.groups[g.0 as usize].parent = Some(parent);
         let unreachable: Vec<NetAddr> = {
             let group = &inner.groups[g.0 as usize];
             group
@@ -824,13 +860,16 @@ impl Network {
         })
     }
 
-    /// Dissolve `g`: drop all members and release every tree reservation.
+    /// Dissolve `g`: drop all members, release every tree reservation and
+    /// the group's hold on its parent forest. Later operations on `g` are
+    /// no-ops: joins find no path, refreshes and leaves change nothing.
     pub fn group_release(&self, g: GroupId) {
         let mut inner = self.inner.borrow_mut();
         inner.reservations.release(g.reservation_vc());
-        let root = inner.groups[g.0 as usize].root;
-        inner.groups[g.0 as usize].members.clear();
-        inner.groups[g.0 as usize].tree = Rc::new(GroupTree::empty(root));
+        let group = &mut inner.groups[g.0 as usize];
+        group.members.clear();
+        group.parent = None;
+        group.tree = Rc::new(GroupTree::empty(group.root));
     }
 
     /// The group's current tree snapshot.
@@ -862,7 +901,7 @@ impl Network {
             let mut acc = Vec::new();
             let mut v = member;
             while v != group.root {
-                let (p, lid) = group.parent[v.0 as usize]?;
+                let (p, lid) = group.parent_of(v)?;
                 acc.push(lid);
                 v = p;
             }
@@ -1659,10 +1698,8 @@ mod tests {
         assert!(r.is_err(), "add_link must still panic after fault churn");
     }
 
-    #[test]
-    fn group_refresh_regrafts_around_dead_hub() {
-        // root—hubA—r and root—hubB—r: the tree prefers hubA, then hubA
-        // dies and refresh moves the branch (and its reservation) to hubB.
+    /// `root—hubA—r` and `root—hubB—r`: the BFS forest prefers hubA.
+    fn diamond() -> (Network, NetAddr, NetAddr, NetAddr, NetAddr) {
         let net = Network::new(Engine::new());
         let mut rng = DetRng::from_seed(43);
         let root = net.add_node(NodeClock::perfect());
@@ -1674,6 +1711,14 @@ mod tests {
         net.add_duplex(root, hub_b, p.clone(), &mut rng);
         net.add_duplex(hub_a, r, p.clone(), &mut rng);
         net.add_duplex(hub_b, r, p, &mut rng);
+        (net, root, hub_a, hub_b, r)
+    }
+
+    #[test]
+    fn group_refresh_regrafts_around_dead_hub() {
+        // The tree prefers hubA, then hubA dies and refresh moves the
+        // branch (and its reservation) to hubB.
+        let (net, root, hub_a, hub_b, r) = diamond();
         let g = net.create_group(root, Bandwidth::mbps(2));
         net.group_join(g, r).unwrap().unwrap();
         let via_a = net.links_between(hub_a, r)[0];
@@ -1704,6 +1749,84 @@ mod tests {
         );
         net.engine().run();
         assert_eq!(col.got.borrow().len(), 1);
+    }
+
+    #[test]
+    fn group_created_after_a_fault_uses_the_detoured_forest() {
+        let (net, root, hub_a, hub_b, r) = diamond();
+        let via_a = net.links_between(hub_a, r)[0];
+        let via_b = net.links_between(hub_b, r)[0];
+        let joined = net.create_group(root, Bandwidth::mbps(1));
+        net.group_join(joined, r).unwrap().unwrap();
+        // Made before the fault, joined after it.
+        let empty = net.create_group(root, Bandwidth::mbps(1));
+        net.set_node_up(hub_a, false);
+        let fresh = net.create_group(root, Bandwidth::mbps(1));
+        net.group_join(fresh, r).unwrap().unwrap();
+        assert!(net.group_tree(fresh).links.contains(&via_b));
+        // Older groups keep the forest they were made with...
+        net.group_join(empty, r).unwrap().unwrap();
+        assert!(net.group_tree(empty).links.contains(&via_a));
+        assert!(net.group_tree(joined).links.contains(&via_a));
+        // ...until a refresh moves them onto the detour.
+        for g in [joined, empty] {
+            net.group_refresh(g).unwrap();
+            assert!(net.group_tree(g).links.contains(&via_b));
+            assert!(!net.group_tree(g).links.contains(&via_a));
+        }
+        assert_eq!(net.reserved_on(via_a), Bandwidth::ZERO);
+        assert_eq!(net.reserved_on(via_b), Bandwidth::mbps(3));
+    }
+
+    #[test]
+    fn groups_share_their_root_forest_until_released() {
+        let (net, root, _hub, rs, _cols) = mcast_net();
+        let groups: Vec<GroupId> = (0..3)
+            .map(|_| net.create_group(root, Bandwidth::mbps(1)))
+            .collect();
+        let forest = |g: GroupId| net.inner.borrow().groups[g.0 as usize].parent.clone();
+        let shared = forest(groups[0]).expect("live group holds a forest");
+        // The cache plus three groups, plus the clone above.
+        assert_eq!(Rc::strong_count(&shared), 1 + 3 + 1);
+        for &g in &groups {
+            net.group_join(g, rs[0]).unwrap().unwrap();
+            net.group_release(g);
+            assert!(forest(g).is_none());
+        }
+        assert_eq!(Rc::strong_count(&shared), 1 + 1);
+        // A fault transition drops the cache's reference too.
+        net.set_node_up(rs[2], false);
+        assert_eq!(Rc::strong_count(&shared), 1);
+    }
+
+    #[test]
+    fn released_group_operations_are_inert() {
+        let (net, root, _hub, rs, cols) = mcast_net();
+        let g = net.create_group(root, Bandwidth::mbps(2));
+        net.group_join(g, rs[0]).unwrap().unwrap();
+        net.group_release(g);
+        assert_eq!(net.reservation_count(), 0);
+        assert_eq!(net.group_join(g, rs[1]), None);
+        assert_eq!(net.group_path_qos(g, rs[1], 1500), None);
+        assert_eq!(net.group_refresh(g), Ok(GroupRefresh::default()));
+        net.group_leave(g, rs[0]);
+        assert_eq!(net.reservation_count(), 0);
+        assert!(net.group_members(g).is_empty());
+        assert!(net.group_tree(g).links.is_empty());
+        net.send_to_group(
+            g,
+            Packet::group(
+                root,
+                g,
+                None,
+                PacketClass::Data,
+                500,
+                net.engine().now(),
+                1u64,
+            ),
+        );
+        net.engine().run();
+        assert!(cols.iter().all(|c| c.got.borrow().is_empty()));
     }
 
     #[test]
